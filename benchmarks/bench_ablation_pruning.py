@@ -20,7 +20,9 @@ from repro.frame import Frame
 def test_ablation_zone_map_pruning(benchmark, output_dir, tmp_path):
     # a loader-shaped table: 24 (run, step) slices appended in order
     rng = np.random.default_rng(5)
-    db = Database(tmp_path / "zdb")
+    # result cache off: a cache hit serves the frame without scanning,
+    # which would leave no scan stats to measure
+    db = Database(tmp_path / "zdb", result_cache=False)
     rows_per_slice = 5000
     for run in range(4):
         for step in (0, 124, 249, 374, 498, 624):

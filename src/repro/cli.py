@@ -454,11 +454,9 @@ def cmd_sql(args: argparse.Namespace) -> int:
     print(result)
     stats = db.last_scan_stats
     if stats.row_groups_total:
-        print(f"(scanned {stats.row_groups_total - stats.row_groups_skipped}"
-              f"/{stats.row_groups_total} row groups; "
-              f"skipped {stats.row_groups_skipped_zone} by zone map, "
-              f"{stats.row_groups_skipped_bloom} by bloom filter; "
-              f"{stats.morsels_executed} morsels on {stats.threads} thread(s))")
+        print(f"scanned {stats.row_groups_total - stats.row_groups_skipped}"
+              f"/{stats.row_groups_total} row groups "
+              f"({stats.row_groups_skipped} skipped by zone map)")
     return 0
 
 

@@ -186,11 +186,7 @@ class InferA:
         retriever = self._retriever
         provenance = ProvenanceTracker(self.workdir, session_id, clock=self.clock)
         query_cache_dir = cfg.query_cache_dir or self.workdir / ".query_cache"
-        db = Database(
-            self.workdir / session_id / "analysis.db",
-            cache_dir=query_cache_dir,
-            num_threads=cfg.sql_threads,
-        )
+        db = Database(self.workdir / session_id / "analysis.db", cache_dir=query_cache_dir)
         provenance.register_external(db.path)
         fleet_workers = resolve_sandbox_workers(cfg.sandbox_workers)
         if self._shared_sandbox is not None:

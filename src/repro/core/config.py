@@ -41,11 +41,6 @@ class InferAConfig:
     # worker process at one shared directory so a result executed once is
     # mmap-served everywhere else.
     query_cache_dir: str | None = None
-    # morsel-driven SQL engine threads (repro.db.sql.executor); None
-    # defers to the REPRO_SQL_THREADS environment variable, then 1, and
-    # 0 means one thread per core.  Parallel execution is byte-identical
-    # to sequential, so this only changes throughput, never answers
-    sql_threads: int | None = None
     # when set, generated code executes on a remote sandbox gateway (the
     # paper's ASGI-server deployment) instead of in-process
     sandbox_url: str | None = None

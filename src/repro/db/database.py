@@ -27,7 +27,7 @@ Writes are crash-safe and reads are snapshot-isolated (MVCC-lite):
   clamp — a kill at any byte offset recovers to exactly the pre- or
   post-append table, never a hybrid;
 * readers pin a :class:`CatalogSnapshot` — an immutable catalog image
-  whose stores clamp every scan, zone map, bloom and cache key to the
+  whose stores clamp every scan, zone map and cache key to the
   committed row-group prefix — for the duration of a query (automatic)
   or a whole session (:meth:`Database.pinned`), so concurrent appends
   land new groups without perturbing in-flight work.
@@ -138,11 +138,6 @@ class Database:
     in-process memoization tier is always active unless ``result_cache``
     is False.
 
-    ``num_threads`` sets the morsel-driven engine's thread count for
-    queries against this database (None defers to ``REPRO_SQL_THREADS``,
-    then 1; 0 means one thread per core).  Parallel execution is
-    byte-identical to sequential, so this is purely a throughput knob.
-
     ``wal`` (default on) routes populated creates and appends through the
     write-ahead log's commit protocol; ``wal_fsync=False`` keeps the
     protocol but drops the per-record fsync (benchmark use only — it
@@ -154,12 +149,10 @@ class Database:
         path: str | Path,
         cache_dir: str | Path | None = None,
         result_cache: bool = True,
-        num_threads: int | None = None,
         wal: bool = True,
         wal_fsync: bool = True,
     ):
         self.path = Path(path)
-        self.num_threads = num_threads
         self.path.mkdir(parents=True, exist_ok=True)
         self._catalog_path = self.path / "catalog.json"
         self._tables = self._read_catalog()

@@ -1,62 +1,36 @@
-"""Zone-map + bloom-filter predicate pushdown.
+"""Zone-map predicate pushdown.
 
-Each row group stores per-column min/max statistics ("zone maps") and,
-for low-cardinality columns, fixed-size bloom filters over the group's
-distinct values (:mod:`repro.db.bloom`).  Before a filtered scan touches
-a row group's bytes, the WHERE predicate is evaluated against those
-statistics; a row group whose predicate is *provably false for every
-row* is skipped without any I/O.  This is the classic segment-skipping
-optimization of columnar engines (DuckDB, Parquet readers) and is what
-makes highly selective queries — e.g. ``WHERE step = 624`` over a table
-holding every timestep — touch a fraction of the table.
+Each row group stores per-column min/max statistics ("zone maps").
+Before a filtered scan touches a row group's bytes, the WHERE predicate
+is evaluated against those statistics; a row group whose predicate is
+*provably false for every row* is skipped without any I/O.  This is the
+classic segment-skipping optimization of columnar engines (DuckDB,
+Parquet readers) and is what makes highly selective queries — e.g.
+``WHERE step = 624`` over a table holding every timestep — touch a
+fraction of the table.
 
-Zone maps refute through interval logic (ranges, comparisons); bloom
-filters refute equality and ``IN`` membership, including over *string*
-columns, which have no interval statistics at all.  The two compose
-through AND/OR recursion: a conjunct refuted by either statistic kills
-the whole conjunction.
-
-The analysis is conservative: anything it cannot prove returns
-"might match", never the reverse, so pruning can never change results.
-:func:`skip_reason` attributes each skip to the statistic that proved it
-("zone" when intervals alone suffice, "bloom" when a filter was needed)
-so the engine's counters report the marginal value of each index kind.
+Zone maps refute through interval logic (ranges, comparisons, ``IN``
+lists, ``BETWEEN``), composed through AND/OR recursion.  The analysis is
+conservative: anything it cannot prove returns "might match", never the
+reverse, so pruning can never change results.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from repro.db.sql import ast
 
 Stats = dict[str, tuple[float, float]]
-# column name -> object with might_contain(value) -> bool (see repro.db.bloom)
-Blooms = Mapping[str, object]
 
 
-def can_skip_row_group(
-    where: ast.Expr | None, stats: Stats, blooms: Blooms | None = None
-) -> bool:
-    """True iff ``where`` is provably false for every row of the group."""
-    return skip_reason(where, stats, blooms) is not None
+def can_skip_row_group(where: ast.Expr | None, stats: Stats) -> bool:
+    """True iff ``where`` is provably false for every row of the group.
 
-
-def skip_reason(
-    where: ast.Expr | None, stats: Stats, blooms: Blooms | None = None
-) -> str | None:
-    """Why this row group can be skipped: "zone", "bloom", or None.
-
-    "zone" means interval logic alone refutes the predicate; "bloom"
-    means the bloom filters were needed (the marginal skip a zone map
-    could not prove).
+    A group with an empty zone map (a legacy table, or every column
+    holding a non-finite value) is never skipped.
     """
-    if where is None:
-        return None
-    if stats and _always_false(where, stats, None):
-        return "zone"
-    if blooms and _always_false(where, stats, blooms):
-        return "bloom"
-    return None
+    if where is None or not stats:
+        return False
+    return _always_false(where, stats)
 
 
 def _bounds(expr: ast.Expr, stats: Stats) -> tuple[float, float] | None:
@@ -80,38 +54,13 @@ def _bounds(expr: ast.Expr, stats: Stats) -> tuple[float, float] | None:
     return None
 
 
-def _bloom_refutes(
-    column: ast.Expr, literal: ast.Expr, blooms: Blooms | None
-) -> bool:
-    """True iff a bloom filter proves ``column = literal`` matches no row."""
-    if not blooms:
-        return False
-    if not isinstance(column, ast.Column) or not isinstance(literal, ast.Literal):
-        return False
-    if literal.value is None:
-        return False  # NULL equality is its own semantics; never prune
-    bloom = blooms.get(column.name)
-    if bloom is None:
-        return False
-    return not bloom.might_contain(literal.value)
-
-
-def _always_false(expr: ast.Expr, stats: Stats, blooms: Blooms | None) -> bool:
+def _always_false(expr: ast.Expr, stats: Stats) -> bool:
     if isinstance(expr, ast.Binary):
         op = expr.op
         if op == "AND":
-            return _always_false(expr.left, stats, blooms) or _always_false(
-                expr.right, stats, blooms
-            )
+            return _always_false(expr.left, stats) or _always_false(expr.right, stats)
         if op == "OR":
-            return _always_false(expr.left, stats, blooms) and _always_false(
-                expr.right, stats, blooms
-            )
-        if op == "=" and (
-            _bloom_refutes(expr.left, expr.right, blooms)
-            or _bloom_refutes(expr.right, expr.left, blooms)
-        ):
-            return True
+            return _always_false(expr.left, stats) and _always_false(expr.right, stats)
         left = _bounds(expr.left, stats)
         right = _bounds(expr.right, stats)
         if left is None or right is None:
@@ -135,14 +84,12 @@ def _always_false(expr: ast.Expr, stats: Stats, blooms: Blooms | None) -> bool:
         if expr.negated:
             return False
         operand_bounds = _bounds(expr.operand, stats)
+        if operand_bounds is None:
+            return False
         for option in expr.options:
-            if _bloom_refutes(expr.operand, option, blooms):
-                continue  # this option is provably absent
-            if operand_bounds is None:
-                return False
             b = _bounds(option, stats)
             if b is None:
-                return False  # non-numeric option with no bloom proof
+                return False  # non-numeric option: unprovable
             v_lo, v_hi = b
             lo, hi = operand_bounds
             if not (v_hi < lo or v_lo > hi):

@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import faults
-from repro.db.bloom import BloomFilter
 from repro.db.errors import DBError, IngestKilled, UnknownColumnError
 from repro.frame import Frame
 from repro.obs.logsetup import get_logger
@@ -86,7 +85,7 @@ class TableStore:
 
     ``clamp_row_groups`` bounds the *visible* row-group prefix: a snapshot
     reader constructed with the catalog's ``committed_row_groups`` sees
-    exactly the committed prefix — scans, zone maps, blooms, row counts
+    exactly the committed prefix — scans, zone maps, row counts
     and the content signature all stop there — even while a concurrent
     writer stages further groups on disk.  Committed segment directories
     are immutable (appends only ever add higher-numbered groups), which is
@@ -97,7 +96,6 @@ class TableStore:
     def __init__(self, path: Path, clamp_row_groups: int | None = None):
         self.path = Path(path)
         self._meta: dict = {"columns": {}, "row_groups": []}
-        self._bloom_cache: dict[int, dict[str, BloomFilter]] = {}
         self._clamp = clamp_row_groups
         meta_path = self.path / "meta.json"
         if meta_path.exists():
@@ -204,21 +202,18 @@ class TableStore:
                 )
         self.path.mkdir(parents=True, exist_ok=True)
         staged.setdefault("zone_maps", [])
-        staged.setdefault("blooms", [])
         staged.setdefault("checksums", [])
-        # legacy tables written before a stats kind existed: pad the
-        # per-row-group list with empty docs so indexes stay aligned with
-        # the groups being appended now (an empty doc never prunes)
-        for stats_key in ("zone_maps", "blooms"):
-            while len(staged[stats_key]) < len(staged["row_groups"]):
-                staged[stats_key].append({})
+        # legacy tables written before zone maps existed: pad the list with
+        # empty docs so indexes stay aligned with the groups being appended
+        # now (an empty doc never prunes)
+        while len(staged["zone_maps"]) < len(staged["row_groups"]):
+            staged["zone_maps"].append({})
         for start in range(0, frame.num_rows, row_group_size):
             chunk = frame[start : start + row_group_size]
             rg_index = len(staged["row_groups"])
             rg_dir = self.path / f"rg{rg_index:05d}"
             rg_dir.mkdir(parents=True, exist_ok=True)
             zone_map: dict[str, list[float]] = {}
-            blooms: dict[str, dict] = {}
             checksums: dict[str, int] = {}
             last_path: Path | None = None
             for name in staged["columns"]:
@@ -233,11 +228,6 @@ class TableStore:
                     as_float = col.astype(np.float64)
                     if np.isfinite(as_float).all():
                         zone_map[name] = [float(as_float.min()), float(as_float.max())]
-                # equality-pruning bloom filter over the group's distinct
-                # values; saturated (high-cardinality) columns persist none
-                bloom = BloomFilter.build(col)
-                if bloom is not None:
-                    blooms[name] = bloom.to_meta()
                 checksums[name] = zlib.crc32(np.ascontiguousarray(col).tobytes())
                 last_path = rg_dir / f"{name}.npy"
                 np.save(last_path, col, allow_pickle=False)
@@ -256,7 +246,6 @@ class TableStore:
                 )
             staged["row_groups"].append(chunk.num_rows)
             staged["zone_maps"].append(zone_map)
-            staged["blooms"].append(blooms)
             staged["checksums"].append(checksums)
         return staged
 
@@ -264,7 +253,6 @@ class TableStore:
         """Atomically publish a staged metadata doc with a version bump."""
         staged["version"] = self.version + 1
         self._meta = staged
-        self._bloom_cache.clear()
         self._flush_meta()
 
     def discard_uncommitted(self, committed_groups: int) -> int:
@@ -276,10 +264,9 @@ class TableStore:
         """
         raw_groups = self._meta.get("row_groups", [])
         if committed_groups < len(raw_groups):
-            for key in ("row_groups", "zone_maps", "blooms", "checksums"):
+            for key in ("row_groups", "zone_maps", "checksums"):
                 if key in self._meta:
                     del self._meta[key][committed_groups:]
-            self._bloom_cache.clear()
             self._flush_meta()
         dropped = 0
         for rg_dir in self.path.glob("rg*"):
@@ -325,26 +312,6 @@ class TableStore:
         if index >= len(maps):
             return {}
         return {k: (v[0], v[1]) for k, v in maps[index].items()}
-
-    def blooms(self, index: int) -> dict[str, BloomFilter]:
-        """Per-column equality bloom filters of one row group.
-
-        Empty for tables written before filters existed (legacy tables
-        stay readable, they just never bloom-prune) and for columns whose
-        cardinality saturated the bitset at append time.
-        """
-        docs = self._meta.get("blooms", [])
-        if index >= len(docs):
-            return {}
-        cached = self._bloom_cache.get(index)
-        if cached is None:
-            cached = {}
-            for name, doc in docs[index].items():
-                bloom = BloomFilter.from_meta(doc)
-                if bloom is not None:
-                    cached[name] = bloom
-            self._bloom_cache[index] = cached
-        return cached
 
     def scan(self, columns: Sequence[str] | None = None) -> Iterator[Frame]:
         """Stream the table one row group at a time."""

@@ -50,7 +50,7 @@ Design constraints, matching the tracer's:
   counted (``bus.subscriber_errors``) and skipped, never allowed to fail
   the run it is observing;
 * **process-wide and thread-safe** — the ambient bus is a module global
-  (not a contextvar) so events published from SQL morsel threads and
+  (not a contextvar) so events published from serving and
   parallel-viz threads reach the same bus as the coordinator's, with a
   lock serializing the queue.  Forked harness workers deliberately
   *reset* the ambient bus (``os.register_at_fork``): a child publishing
@@ -260,7 +260,7 @@ def use_bus(bus: EventBus) -> Iterator[EventBus]:
     """Activate ``bus`` process-wide for the extent of the block.
 
     A module global rather than a contextvar so events published from
-    worker *threads* (SQL morsels, parallel viz) reach the same bus;
+    worker *threads* (serving, parallel viz) reach the same bus;
     nesting restores the previous bus on exit.
     """
     global _AMBIENT

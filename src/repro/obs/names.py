@@ -47,8 +47,8 @@ COST_LEDGER_SPAN = "cost.ledger"
 # telemetry-only, excluded from canonical trees
 PROFILE_CAPTURE_SPAN = "profile.capture"
 
-# counter-event name for per-morsel completions published from the SQL
-# engine's worker threads (parented on the enclosing sql.execute span)
+# counter-event name for per-morsel (per row group) completions of the
+# SQL engine's scan (parented on the enclosing sql.execute span)
 MORSEL_EVENT = "sql.engine.morsel"
 
 # one per served request (repro.serve.worker); the session span of the
@@ -93,20 +93,14 @@ TIMING_ATTRS = frozenset(
 )
 # attributes that depend on which query-result-cache tier served a SELECT
 # (and how much scan work it therefore did) — a memory hit in one process
-# is a disk hit or a full scan in another without the *result* differing.
-# The same goes for the morsel engine's accounting: thread count and
-# zone-vs-bloom skip attribution are execution-mode details of a
-# byte-identical result
+# is a disk hit or a full scan in another without the *result* differing
 CACHE_ATTRS = frozenset(
     {
         "cache",
         "residual_conjuncts",
         "row_groups_total",
         "row_groups_skipped",
-        "row_groups_skipped_zone",
-        "row_groups_skipped_bloom",
         "morsels",
-        "threads",
         "cache_quarantined",
     }
 )

@@ -97,22 +97,12 @@ class TestStorageChaos:
         assert_same_answer(baseline, chaotic)
 
 
-class TestEngineThreadChaos:
-    def test_light_faults_with_parallel_engine_byte_identical(
-        self, ensemble, tmp_path, monkeypatch
-    ):
-        """The light fault profile with the morsel engine running on two
-        threads must still produce the byte-identical answer of a clean
-        sequential run: fault absorption and parallel execution compose."""
-        # bypass the cores clamp so the pool really runs, even on 1 core
-        monkeypatch.setenv("REPRO_SQL_FORCE_PARALLEL", "1")
+class TestLightFaultChaos:
+    def test_light_faults_byte_identical_to_clean_run(self, ensemble, tmp_path):
+        """The light fault profile must still produce the byte-identical
+        answer of a clean run."""
         baseline = run_app(ensemble, tmp_path / "clean", NO_FAULTS)
-        chaotic = run_app(
-            ensemble,
-            tmp_path / "chaos",
-            FaultProfile.named("light"),
-            sql_threads=2,
-        )
+        chaotic = run_app(ensemble, tmp_path / "chaos", FaultProfile.named("light"))
         assert_same_answer(baseline, chaotic)
 
 

@@ -147,11 +147,10 @@ class TestEndToEndPruning:
         d.query("SELECT x FROM t WHERE k >= 4")
         assert d.last_scan_stats.row_groups_skipped == 2
 
-    def test_string_equality_prunes_via_bloom(self, tmp_path):
+    def test_string_equality_prunes_only_numeric_conjuncts(self, tmp_path):
         """String columns publish no zone map, so interval logic can never
-        refute them — but the per-row-group bloom filters can: an equality
-        probe for a value absent from a group's distinct set skips the
-        group, attributed to the bloom side of the stats."""
+        refute an equality probe on them; only a numeric conjunct beside
+        it prunes."""
         d = Database(tmp_path / "ab.db")
         d.create_table(
             "t",
@@ -160,19 +159,16 @@ class TestEndToEndPruning:
         )
         out = d.query("SELECT k FROM t WHERE name = 'd'")
         assert out.num_rows == 1 and out["k"][0] == 3
-        stats = d.last_scan_stats
-        assert stats.row_groups_skipped_zone == 0  # no interval can prove this
-        assert stats.row_groups_skipped_bloom == 1  # group ["a","b"] refuted
+        assert d.last_scan_stats.row_groups_skipped == 0  # no interval can prove this
         # AND with a prunable numeric conjunct: one group falls to the zone
-        # map on k, the other to the bloom filter on name
+        # map on k, the other must be scanned
         out = d.query("SELECT k FROM t WHERE name = 'a' AND k >= 2")
         assert out.num_rows == 0
-        assert d.last_scan_stats.row_groups_skipped_zone == 1
-        assert d.last_scan_stats.row_groups_skipped_bloom == 1
+        assert d.last_scan_stats.row_groups_skipped == 1
 
     def test_range_predicate_on_string_column_scans_everything(self, tmp_path):
-        """Bloom filters only refute equality/IN; other string predicates
-        must still scan every group."""
+        """String columns have no zone map, so a string range predicate
+        scans every group."""
         d = Database(tmp_path / "rng.db")
         d.create_table(
             "t",
@@ -183,7 +179,7 @@ class TestEndToEndPruning:
         assert out.num_rows == 3
         assert d.last_scan_stats.row_groups_skipped == 0
 
-    def test_string_in_list_prunes_via_bloom(self, tmp_path):
+    def test_string_in_list_scans_every_group(self, tmp_path):
         d = Database(tmp_path / "inl.db")
         d.create_table(
             "t",
@@ -193,28 +189,57 @@ class TestEndToEndPruning:
         )
         out = d.query("SELECT k FROM t WHERE name IN ('a', 'f')")
         assert sorted(out["k"].tolist()) == [0, 5]
-        # middle group ["c","d"] holds neither option: bloom-refuted
-        assert d.last_scan_stats.row_groups_skipped_bloom == 1
+        assert d.last_scan_stats.row_groups_skipped == 0
 
-    def test_legacy_table_without_blooms(self, tmp_path):
-        """Tables written before bloom filters existed stay readable and
-        simply never bloom-prune."""
+    def test_legacy_table_with_bloom_metadata(self, tmp_path):
+        """Tables written while row groups carried bloom filters keep a
+        ``blooms`` list in meta.json.  They still open, query, zone-prune,
+        append and recover, and hash like the same rows written fresh.
+        The legacy filters are all-zero bitsets, which refute every probe:
+        if anything still consulted them, equality queries would go empty."""
         import json
 
+        from repro.db.storage import TableStore
+
+        rows = Frame({"name": np.asarray(["a", "b", "c", "d"]), "k": np.arange(4)})
+        more = Frame({"name": np.asarray(["e", "f"]), "k": np.asarray([4, 5])})
         d = Database(tmp_path / "lb.db")
-        d.create_table(
-            "t",
-            Frame({"name": np.asarray(["a", "b", "c", "d"]), "k": np.arange(4)}),
-            row_group_size=2,
-        )
+        d.create_table("t", rows, row_group_size=2)
         meta_path = d.path / "t" / "meta.json"
         meta = json.loads(meta_path.read_text())
-        del meta["blooms"]
+        legacy_filter = {"m": 4096, "k": 4, "bits": "00" * 512}
+        meta["blooms"] = [
+            {"name": dict(legacy_filter), "k": dict(legacy_filter)}
+            for _ in meta["row_groups"]
+        ]
         meta_path.write_text(json.dumps(meta))
+
+        fresh = Database(tmp_path / "fresh.db")
+        fresh.create_table("t", rows, row_group_size=2)
+
         d2 = Database(d.path)
+        assert d2.store("t").content_signature() == fresh.store("t").content_signature()
         out = d2.query("SELECT k FROM t WHERE name = 'd'")
         assert out.num_rows == 1 and out["k"][0] == 3
         assert d2.last_scan_stats.row_groups_skipped == 0
+        out = d2.query("SELECT k FROM t WHERE k >= 2")
+        assert out["k"].tolist() == [2, 3]
+        assert d2.last_scan_stats.row_groups_skipped == 1
+
+        d2.append("t", more)
+        fresh.append("t", more)
+        assert d2.query("SELECT k FROM t WHERE name = 'f'")["k"].tolist() == [5]
+        assert d2.store("t").content_signature() == fresh.store("t").content_signature()
+
+        # a crash after publishing meta.json but before the catalog commit
+        # leaves a staged group ahead of the committed prefix
+        store = TableStore(d.path / "t")
+        store.publish_staged(store.stage_append(more, row_group_size=2))
+        report = Database(d.path).recover()
+        assert report["orphan_groups"] == 1
+        d3 = Database(d.path)
+        assert d3.query("SELECT COUNT(*) AS n FROM t")["n"][0] == 6
+        assert d3.store("t").content_signature() == fresh.store("t").content_signature()
 
     def test_mixed_finite_and_nonfinite_groups(self, tmp_path):
         """Finite groups keep pruning; only the non-finite group scans."""

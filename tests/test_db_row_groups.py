@@ -1,31 +1,22 @@
-"""Morsel-driven parallel execution: byte-identity with sequential.
+"""Row-group chunking: a table's answers do not depend on its row groups.
 
-The engine's contract is that ``num_threads > 1`` changes *throughput
-only*: every query result is byte-identical (same dtypes, same bytes in
-the same row order) to the single-threaded run.  These tests sweep the
-query shapes the executor special-cases — plain scans, early-terminating
-LIMIT, streaming top-k, grouped aggregation (every accumulator kind),
-global aggregates, DISTINCT, joins, subqueries — across 1/2/4 threads
-over a randomized multi-row-group table.
+The executor scans row groups one at a time and folds per-group partials
+in row-group order.  These tests store the same rows as 15 row groups
+and as one, and sweep the query shapes the executor special-cases —
+plain scans, early-terminating LIMIT, streaming top-k, grouped
+aggregation (every accumulator kind), global aggregates, DISTINCT, joins,
+subqueries — requiring the same columns, dtypes and row order.  Non-float
+columns must match byte for byte; float columns may differ only in the
+last-bit rounding of a SUM/AVG/VAR folded over a different split.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.db import Database
-from repro.db.sql.executor import resolve_num_threads
 from repro.frame import Frame
 
-THREAD_COUNTS = [1, 2, 4]
-
-
-@pytest.fixture(autouse=True)
-def force_parallel(monkeypatch):
-    """The engine clamps its thread count to the host's cores; these
-    tests must exercise the real thread pool even on a 1-core CI box."""
-    monkeypatch.setenv("REPRO_SQL_FORCE_PARALLEL", "1")
+ONE_GROUP = 1_000_000
 
 
 def _table_frame(n=1500, seed=7):
@@ -45,26 +36,39 @@ def _table_frame(n=1500, seed=7):
     )
 
 
-@pytest.fixture(scope="module")
-def db_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("par") / "p.db"
-    d = Database(path, result_cache=False)
-    d.create_table("halos", _table_frame(), row_group_size=100)
+def _build(path, halos_group, runs_group):
+    d = _open(path)
+    d.create_table("halos", _table_frame(), row_group_size=halos_group)
     d.create_table(
         "runs",
         Frame({"run": np.arange(4), "weight": np.asarray([1.0, 2.5, 0.5, 4.0])}),
-        row_group_size=2,
+        row_group_size=runs_group,
     )
     return path
 
 
-def _open(db_path, threads):
-    # caching off so every run truly executes; a shared cache would serve
-    # the sequential result back and vacuously pass
-    return Database(db_path, result_cache=False, num_threads=threads)
+@pytest.fixture(scope="module")
+def db_path(tmp_path_factory):
+    """The table split into 15 row groups (and ``runs`` into 2)."""
+    path = _build(tmp_path_factory.mktemp("rg") / "many.db", 100, 2)
+    assert _open(path).store("halos").num_row_groups == 15
+    return path
 
 
-def assert_frames_byte_identical(a, b):
+@pytest.fixture(scope="module")
+def one_group_path(tmp_path_factory):
+    """The same rows, each table stored as a single row group."""
+    path = _build(tmp_path_factory.mktemp("rg") / "one.db", ONE_GROUP, ONE_GROUP)
+    assert _open(path).store("halos").num_row_groups == 1
+    return path
+
+
+def _open(path):
+    # caching off so every query truly executes
+    return Database(path, result_cache=False)
+
+
+def assert_frames_match(a, b):
     assert list(a.columns) == list(b.columns)
     assert a.num_rows == b.num_rows
     for name in a.columns:
@@ -73,6 +77,10 @@ def assert_frames_byte_identical(a, b):
         assert ca.dtype == cb.dtype, f"{name}: {ca.dtype} != {cb.dtype}"
         if ca.dtype == object:
             assert ca.tolist() == cb.tolist()
+        elif np.issubdtype(ca.dtype, np.floating):
+            np.testing.assert_allclose(
+                ca, cb, rtol=1e-12, atol=0.0, equal_nan=True, err_msg=name
+            )
         else:
             assert ca.tobytes() == cb.tobytes(), f"{name}: bytes differ"
 
@@ -84,7 +92,7 @@ QUERIES = [
     "SELECT mass FROM halos WHERE mass > 5 LIMIT 37",
     # selective scan with zone-map pruning in play
     "SELECT mass FROM halos WHERE step = 624",
-    # bloom-pruned string equality
+    # string equality beside a zone-prunable IN list
     "SELECT mass FROM halos WHERE kind = 'hot' AND step IN (124, 498)",
     # streaming top-k
     "SELECT mass FROM halos WHERE step > 100 ORDER BY mass DESC LIMIT 10",
@@ -92,8 +100,8 @@ QUERIES = [
     "SELECT step, COUNT(*) AS n, SUM(mass) AS s, AVG(mass) AS m, "
     "MIN(mass) AS lo, MAX(mass) AS hi, STDDEV(mass) AS sd, "
     "MEDIAN(mass) AS med FROM halos GROUP BY step ORDER BY step",
-    # unordered GROUP BY: result row order comes from registry order,
-    # which must not depend on the thread count
+    # unordered GROUP BY: result row order comes from registry order
+    # (first appearance), which must not depend on the row-group split
     "SELECT kind, COUNT(*) AS n, COUNT(DISTINCT run) AS r, VAR(x) AS v "
     "FROM halos GROUP BY kind",
     # multi-key grouping with HAVING and aggregate ORDER BY
@@ -117,39 +125,21 @@ QUERIES = [
 ]
 
 
-class TestParallelEqualsSequential:
-    @pytest.mark.parametrize("threads", [t for t in THREAD_COUNTS if t > 1])
+class TestRowGroupChunking:
     @pytest.mark.parametrize("sql", QUERIES)
-    def test_byte_identical(self, db_path, sql, threads):
-        sequential = _open(db_path, 1).query(sql)
-        parallel = _open(db_path, threads).query(sql)
-        assert_frames_byte_identical(sequential, parallel)
-
-    def test_parallel_actually_dispatches_morsels(self, db_path):
-        d = _open(db_path, 4)
-        d.query("SELECT SUM(mass) AS s FROM halos")
-        stats = d.last_scan_stats
-        assert stats.threads == 4
-        assert stats.morsels_executed == stats.row_groups_total > 1
-
-    def test_scan_stats_match_sequential(self, db_path):
-        seq, par = _open(db_path, 1), _open(db_path, 4)
-        sql = "SELECT mass FROM halos WHERE step = 624"
-        seq.query(sql)
-        par.query(sql)
-        a, b = seq.last_scan_stats, par.last_scan_stats
-        assert a.row_groups_total == b.row_groups_total
-        assert a.row_groups_skipped_zone == b.row_groups_skipped_zone
-        assert a.row_groups_skipped_bloom == b.row_groups_skipped_bloom
+    def test_matches_single_group(self, db_path, one_group_path, sql):
+        chunked = _open(db_path).query(sql)
+        whole = _open(one_group_path).query(sql)
+        assert_frames_match(chunked, whole)
 
 
 class TestEmptyProjectionDtypes:
     """Satellite: zero-row results must carry schema-derived dtypes, not
     unconditional float64, so empty frames are byte-stable vs non-empty
-    schemas and across execution modes."""
+    schemas and across row-group splits."""
 
     def test_plain_empty_matches_store_schema(self, db_path):
-        d = _open(db_path, 1)
+        d = _open(db_path)
         empty = d.query("SELECT step, kind, mass FROM halos WHERE mass < 0")
         assert empty.num_rows == 0
         full = d.query("SELECT step, kind, mass FROM halos LIMIT 1")
@@ -159,7 +149,7 @@ class TestEmptyProjectionDtypes:
             ).dtype
 
     def test_count_is_integer_in_empty_grouped_result(self, db_path):
-        d = _open(db_path, 1)
+        d = _open(db_path)
         empty = d.query("SELECT step, COUNT(*) AS n FROM halos WHERE mass < 0 GROUP BY step")
         assert empty.num_rows == 0
         assert np.asarray(empty.column("n")).dtype == np.int64
@@ -185,41 +175,6 @@ class TestDensify:
         arr = np.asarray(out.column("a"))
         assert not isinstance(arr, np.memmap)
         assert arr.tolist() == list(range(8))
-
-
-class TestThreadResolution:
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SQL_THREADS", raising=False)
-        assert resolve_num_threads(None) == 1
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_THREADS", "7")
-        assert resolve_num_threads(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_THREADS", "2")
-        assert resolve_num_threads(None) == 2
-
-    def test_zero_means_per_core(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SQL_THREADS", raising=False)
-        assert resolve_num_threads(0) == max(1, os.cpu_count() or 1)
-
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_THREADS", "lots")
-        assert resolve_num_threads(None) == 1
-
-    def test_clamped_to_core_count(self, monkeypatch):
-        """Oversubscription is pure overhead for a CPU-bound engine, so
-        without the force hook the resolved count never exceeds cores."""
-        monkeypatch.delenv("REPRO_SQL_FORCE_PARALLEL", raising=False)
-        cores = max(1, os.cpu_count() or 1)
-        assert resolve_num_threads(cores + 8) == cores
-
-    def test_env_reaches_query_engine(self, db_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_THREADS", "2")
-        d = Database(db_path, result_cache=False)
-        d.query("SELECT COUNT(*) AS n FROM halos")
-        assert d.last_scan_stats.threads == 2
 
 
 class TestVectorizedRegistry:

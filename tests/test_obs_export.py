@@ -8,6 +8,7 @@ import pytest
 from repro.obs.export import (
     canonical_tree,
     chrome_trace_json,
+    engine_counts,
     find_trace_file,
     phase_of,
     phase_rollups,
@@ -175,6 +176,23 @@ class TestSqlCacheViews:
 
     def test_summarize_omits_line_without_queries(self):
         assert "sql cache" not in summarize(build_reference_trace())
+
+    def test_engine_counts_summarize_older_scan_attributes(self):
+        """Older traces also carry a thread count and a per-index skip
+        split; only the shared totals count."""
+        tracer = Tracer(clock=SimulatedClock(), id_prefix="cc00")
+        with tracer.span("session"):
+            with tracer.span("sql.execute", morsels=2, row_groups_total=5,
+                             row_groups_skipped=3, row_groups_skipped_zone=3,
+                             threads=4):
+                pass
+            with tracer.span("sql.execute", morsels=1, row_groups_total=1,
+                             row_groups_skipped=0):
+                pass
+        spans = tracer.span_dicts()
+        assert engine_counts(spans) == {"morsels": 3, "row_groups": 6, "skipped": 3}
+        assert "sql engine: 3 morsels executed, 3/6 row groups skipped by zone map" \
+            in summarize(spans)
 
     def test_canonical_tree_ignores_cache_tier(self):
         """Sequential and parallel runs may serve the same query from
