@@ -1,14 +1,16 @@
 """Query-result cache — cold vs warm redo loop, hit ratios under workers.
 
-Measures the semantic query-result cache (``repro.db.cache``) end to end
-and emits ``BENCH_query_cache.json`` so the perf trajectory is tracked
-across PRs.  Two workloads:
+Measures the query-result cache (``repro.db.cache``) end to end and emits
+``BENCH_query_cache.json`` so the perf trajectory is tracked across PRs.
+Two workloads:
 
 * **redo loop** — a direct ``Database.query`` sequence shaped like the QA
-  redo loop (verbatim re-issues, alias/order-noise variants, strictly
-  narrower refinements).  Cold pass executes against storage; warm passes
-  are served from the memory tier (same process) and the disk tier
-  (memory tiers cleared, like a fresh worker).  Asserted invariants:
+  redo loop (verbatim re-issues plus alias, conjunct-order and narrower
+  rewrites).  The cache keys on the exact parsed statement, so each
+  rewrite is its own entry and only verbatim re-issues hit in the cold
+  pass, which executes everything else against storage.  Warm passes are
+  served from the memory tier (same process) and the disk tier (memory
+  tier cleared, like a fresh worker).  Asserted invariants:
 
   - every warm frame is byte-identical to an uncached oracle database's
     answer (columns, dtypes, and raw bytes);
@@ -41,14 +43,15 @@ from repro.frame import Frame
 from repro.llm.errors import NO_ERRORS
 from repro.sim import EnsembleSpec, generate_ensemble
 
-# each entry is one redo attempt; later queries repeat or narrow earlier
-# ones the way the QA loop re-issues SQL after feedback
+# each entry is one redo attempt; later queries repeat or rewrite earlier
+# ones the way the QA loop re-issues SQL after feedback.  Only verbatim
+# re-issues share an entry; every rewrite is a distinct entry
 REDO_LOOP = [
     "SELECT * FROM halos WHERE step = 624",
     "SELECT * FROM halos WHERE step = 624",                      # verbatim redo
-    "SELECT h.mass FROM halos h WHERE h.step = 624",             # alias noise
-    "SELECT mass, vel FROM halos WHERE step = 624 AND mass > 40",  # narrower
-    "SELECT mass FROM halos WHERE mass > 40 AND step = 624",     # conjunct order
+    "SELECT h.mass FROM halos h WHERE h.step = 624",             # alias: own entry
+    "SELECT mass, vel FROM halos WHERE step = 624 AND mass > 40",  # narrower: own entry
+    "SELECT mass FROM halos WHERE mass > 40 AND step = 624",     # conjunct order: own entry
     "SELECT step, COUNT(*) AS n, AVG(mass) AS m FROM halos GROUP BY step",
     "SELECT step, COUNT(*) AS n, AVG(mass) AS m FROM halos GROUP BY step",
     "SELECT mass FROM halos WHERE step IN (498, 624) ORDER BY mass DESC LIMIT 100",

@@ -356,9 +356,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
                  cache.matrix_hits, cache.memory_hits, cache.disk_hits, cache.builds,
                  cache.query_memo_hits, cache.query_memo_hits + cache.query_memo_misses)
         qc = perf.query_cache
-        log.info("[perf] query cache: %d hits (%d memory, %d disk, %d incremental), "
+        log.info("[perf] query cache: %d hits (%d memory, %d disk), "
                  "%d misses (%.1f%% hit ratio); %d invalidations",
-                 qc.hits, qc.memory_hits, qc.disk_hits, qc.incremental_hits,
+                 qc.hits, qc.memory_hits, qc.disk_hits,
                  qc.misses, 100.0 * qc.hit_ratio, qc.invalidations)
         totals = (perf.cost or {}).get("totals", {})
         if totals.get("calls"):
@@ -433,7 +433,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if quarantined_disk:
         print(f"  quarantined: {quarantined_disk} corrupt entries moved aside")
     print(f"  process counters: memory={qstats.memory_hits} disk={qstats.disk_hits} "
-          f"incremental={qstats.incremental_hits} miss={qstats.misses} "
+          f"miss={qstats.misses} "
           f"(hit ratio {qstats.hit_ratio:.1%} of {qstats.requests})")
     print(f"  stores={qstats.stores} evictions={qstats.evictions} "
           f"invalidations={qstats.invalidations} quarantined={qstats.quarantined}")

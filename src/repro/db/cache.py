@@ -1,19 +1,20 @@
-"""Semantic query-result cache with incremental re-execution.
+"""Query-result cache keyed on the exact parsed statement.
 
-The QA redo loop re-parses, re-scans and re-executes SQL that is
-semantically identical — up to a renamed alias, reordered predicates, or
-a typo fixed on the second attempt — on every revision, and the
-evaluation harness repeats the same questions across runs and worker
-processes.  This module memoizes executed result frames behind a
-content-addressed key so that re-work costs a lookup instead of a scan.
+The QA redo loop and the evaluation harness re-issue the same SQL across
+revisions, repeated questions, runs and worker processes.  This module
+memoizes executed result frames behind a content-addressed key so that
+re-work costs a lookup instead of a scan.
 
-**Key.**  ``blake2b(normalized-plan fingerprint + per-table states)``.
-The fingerprint (:mod:`repro.db.sql.normalize`) is alias-insensitive and
-predicate-order-normalized; the table state (``Database.table_state``)
-combines the catalog's monotonic version with the store's content
-checksums, so appending rows changes every affected key — stale results
-are unreachable by construction, and byte-identical tables in *different*
-databases (every harness run loads the same subset) share entries.
+**Key.**  ``blake2b(repr(statement) | per-table states)``.  The parser
+already folds whitespace and keyword case; nothing else is folded, so two
+spellings share an entry only when they parse to the same statement (an
+alias, operand order or literal type that differs is a different entry,
+because it can change the result's column names or dtypes).  The table
+state (``Database.table_state``) combines the catalog's monotonic version
+with the store's content checksums, so appending rows changes every
+affected key — stale results are unreachable by construction, and
+byte-identical tables in *different* databases (every harness run loads
+the same subset) share entries.
 
 **Tiers** (mirroring :mod:`repro.rag.cache`):
 
@@ -21,13 +22,8 @@ databases (every harness run loads the same subset) share entries.
    the process, across redo attempts and repeated questions);
 2. on-disk ``.npy`` columns + JSON sidecar under ``cache_dir``, published
    atomically (write-temp-then-rename) and served memory-mapped, shared
-   across harness worker processes;
-3. **incremental re-execution**: when a redo's normalized plan targets
-   the same table state as a recently cached statement and its WHERE is
-   equal or strictly narrower (conjunct superset), the residual
-   predicates re-filter the cached parent frame through the ordinary
-   executor pipeline instead of re-scanning row groups from disk;
-4. cold miss: full streaming execution, then publish for everyone else.
+   across harness worker processes and one-shot queries;
+3. cold miss: full streaming execution, then publish for everyone else.
 
 All tiers count into the process-local :data:`QUERY_STATS` (mergeable —
 the harness ships deltas back from worker processes), into ``repro.obs``
@@ -51,7 +47,7 @@ import shutil
 import tempfile
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,14 +55,7 @@ import numpy as np
 from repro import faults
 from repro.db.errors import UnknownTableError
 from repro.db.sql import ast
-from repro.db.sql.executor import ScanStats, execute as sql_execute, execute_over_frame
-from repro.db.sql.normalize import (
-    NormalizedPlan,
-    conjoin,
-    normalize,
-    referenced_column_names,
-    residual_conjuncts,
-)
+from repro.db.sql.executor import ScanStats, execute as sql_execute
 from repro.frame import Frame
 from repro.obs.logsetup import get_logger
 from repro.obs.names import SQL_EXECUTE_SPAN
@@ -79,9 +68,7 @@ log = get_logger("db.cache")
 SIDECAR_NAME = "result.json"
 QUARANTINE_DIRNAME = ".quarantine"
 DEFAULT_MEMORY_ENTRIES = 128
-_PARENTS_PER_SCAFFOLD = 8
-_MAX_SCAFFOLDS = 256
-_MAX_TRACKED_FINGERPRINTS = 4096
+_MAX_TRACKED_STATEMENTS = 4096
 
 
 # ----------------------------------------------------------------------
@@ -93,16 +80,15 @@ class QueryCacheStats(MergeableCounters):
 
     memory_hits: int = 0
     disk_hits: int = 0
-    incremental_hits: int = 0        # redo re-filtered a cached parent
     misses: int = 0                  # full streaming executions
     stores: int = 0
     evictions: int = 0               # in-process LRU evictions
-    invalidations: int = 0           # a known plan's table state changed
+    invalidations: int = 0           # a known statement's table state changed
     quarantined: int = 0             # corrupt disk entries moved aside
 
     @property
     def hits(self) -> int:
-        return self.memory_hits + self.disk_hits + self.incremental_hits
+        return self.memory_hits + self.disk_hits
 
     @property
     def requests(self) -> int:
@@ -117,12 +103,9 @@ QUERY_STATS = QueryCacheStats()
 
 # tier 1: key -> result Frame, LRU over insertion/use order
 _MEMORY: OrderedDict[str, Frame] = OrderedDict()
-_MEMORY_CAPACITY = int(os.environ.get("REPRO_QUERY_CACHE_ENTRIES", DEFAULT_MEMORY_ENTRIES))
+_MEMORY_CAPACITY = DEFAULT_MEMORY_ENTRIES
 
-# incremental-parent registry: "<table>@<state>" -> recent eligible parents
-_PARENTS: OrderedDict[str, list["_ParentRecord"]] = OrderedDict()
-
-# fingerprint -> last-seen table-states key (invalidation accounting)
+# statement -> last-seen table-states key (invalidation accounting)
 _LAST_STATES: OrderedDict[str, str] = OrderedDict()
 
 
@@ -143,9 +126,8 @@ def memory_capacity() -> int:
 
 
 def clear_memory_cache() -> None:
-    """Drop every in-process tier (results, parents, invalidation state)."""
+    """Drop the in-process results and invalidation state."""
     _MEMORY.clear()
-    _PARENTS.clear()
     _LAST_STATES.clear()
 
 
@@ -175,76 +157,26 @@ def _view(frame: Frame) -> Frame:
     return Frame({name: frame.column(name) for name in frame.columns})
 
 
-# ----------------------------------------------------------------------
-# incremental-parent registry
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _ParentRecord:
-    key: str                         # cache key of the parent result
-    conjunct_keys: frozenset[str]    # normalized WHERE conjuncts applied
-    columns: tuple[str, ...]         # columns available in the result
-    star: bool                       # parent projected * (all table columns)
+def _table_names(stmt: ast.SelectStatement) -> tuple[str, ...]:
+    """Every real table the statement touches, subqueries included."""
+    names: list[str] = []
+
+    def visit(s: ast.SelectStatement) -> None:
+        for ref in (s.table, *(j.table for j in s.joins)):
+            if ref.is_subquery:
+                visit(ref.subquery)
+            elif ref.name is not None and ref.name not in names:
+                names.append(ref.name)
+
+    visit(stmt)
+    return tuple(names)
 
 
-def _parent_eligible(plan: NormalizedPlan) -> bool:
-    """Can this statement's result serve as an incremental parent?
-
-    Conservative by design: single stored table, full scan order (no
-    ORDER BY / LIMIT / OFFSET / DISTINCT), no grouping or aggregates, and
-    a projection of bare columns (or ``*``) so every output column is a
-    source column under its own name.  Anything else falls back to the
-    ordinary cache tiers.
-    """
-    stmt = plan.statement
-    if not plan.single_table:
-        return False
-    if stmt.limit is not None or stmt.offset or stmt.distinct:
-        return False
-    if stmt.group_by or stmt.having is not None or stmt.order_by:
-        return False
-    for item in stmt.items:
-        if isinstance(item.expr, ast.Star):
-            continue
-        if not isinstance(item.expr, ast.Column):
-            return False
-        if item.alias is not None and item.alias != item.expr.name:
-            return False
-        if ast.contains_aggregate(item.expr):
-            return False
-    return True
-
-
-def _scaffold_state(plan: NormalizedPlan, states: tuple[str, ...]) -> str:
-    return f"{plan.scaffold}|{'|'.join(states)}"
-
-
-def _register_parent(
-    plan: NormalizedPlan, states: tuple[str, ...], key: str, frame: Frame
-) -> None:
-    if not _parent_eligible(plan):
-        return
-    star = any(isinstance(i.expr, ast.Star) for i in plan.statement.items)
-    record = _ParentRecord(
-        key=key,
-        conjunct_keys=plan.conjunct_keys,
-        columns=tuple(frame.columns),
-        star=star,
-    )
-    bucket = _PARENTS.setdefault(_scaffold_state(plan, states), [])
-    bucket[:] = [r for r in bucket if r.key != key]
-    bucket.append(record)
-    del bucket[:-_PARENTS_PER_SCAFFOLD]
-    _PARENTS.move_to_end(_scaffold_state(plan, states))
-    while len(_PARENTS) > _MAX_SCAFFOLDS:
-        _PARENTS.popitem(last=False)
-
-
-def _shape_attrs(plan: NormalizedPlan) -> dict:
+def _shape_attrs(stmt: ast.SelectStatement) -> dict:
     """The statement-shape attributes the executor stamps on every
     ``sql.execute`` span; hit spans carry the same ones so a cached run's
     canonical span tree matches a cold run's (the ``cache`` tier itself
     is excluded from canonicalization, like timing)."""
-    stmt = plan.statement
     return {
         "grouped": bool(stmt.group_by)
         or any(ast.contains_aggregate(item.expr) for item in stmt.items),
@@ -262,8 +194,7 @@ class _CorruptEntry(ValueError):
 class QueryResultCache:
     """Tiered result store driving ``Database.query`` SELECT execution.
 
-    The in-process tiers (LRU + parent registry) are module-global and
-    shared by every instance; ``cache_dir`` adds the cross-process disk
+    The in-process LRU is module-global and shared by every instance; ``cache_dir`` adds the cross-process disk
     tier when set.
     """
 
@@ -273,101 +204,60 @@ class QueryResultCache:
     # -- orchestration -------------------------------------------------
     def execute(self, db, stmt: ast.SelectStatement, scan_stats: ScanStats | None) -> Frame:
         try:
-            plan = normalize(stmt)
-            states = tuple(db.table_state(t) for t in plan.tables)
+            states = tuple(db.table_state(t) for t in _table_names(stmt))
         except UnknownTableError:
             # unknown table: run the ordinary path so the agent-facing
             # error (with known-table suggestions) is raised unchanged
             return sql_execute(db, stmt, scan_stats)
 
+        statement = repr(stmt)
         states_key = "|".join(states)
-        self._track_invalidation(plan.fingerprint, states_key)
+        self._track_invalidation(statement, states_key)
         key = hashlib.blake2b(
-            f"{plan.fingerprint}|{states_key}".encode(), digest_size=16
+            f"{statement}|{states_key}".encode(), digest_size=16
         ).hexdigest()
 
         frame = _memory_get(key)
         if frame is not None:
-            return self._record_hit("memory", plan, frame)
+            return self._record_hit("memory", stmt, frame)
 
         frame = self._disk_load(key)
         if frame is not None:
             _memory_put(key, frame)
-            return self._record_hit("disk", plan, frame)
-
-        frame = self._try_incremental(plan, states, key)
-        if frame is not None:
-            return self._record_hit("incremental", plan, frame)
+            return self._record_hit("disk", stmt, frame)
 
         QUERY_STATS.misses += 1
         get_registry().counter("db.cache.miss").inc()
         frame = sql_execute(db, stmt, scan_stats, cache_outcome="miss")
-        self._store(key, plan, states, frame)
+        self._store(key, frame)
         return frame
 
-    def _record_hit(self, tier: str, plan: NormalizedPlan, frame: Frame) -> Frame:
+    def _record_hit(self, tier: str, stmt: ast.SelectStatement, frame: Frame) -> Frame:
         setattr(QUERY_STATS, f"{tier}_hits", getattr(QUERY_STATS, f"{tier}_hits") + 1)
         get_registry().counter(f"db.cache.hit.{tier}").inc()
         # every SELECT counts as a query regardless of how it was served,
         # so "sql.queries" stays identical between cached and cold runs
         get_registry().counter("sql.queries").inc()
-        if tier != "incremental":  # incremental emits its own sql.execute span
-            with get_tracer().span(SQL_EXECUTE_SPAN, cache=tier, **_shape_attrs(plan)) as sp:
-                sp.set(rows=frame.num_rows)
+        with get_tracer().span(SQL_EXECUTE_SPAN, cache=tier, **_shape_attrs(stmt)) as sp:
+            sp.set(rows=frame.num_rows)
         return _view(frame)
 
-    def _track_invalidation(self, fingerprint: str, states_key: str) -> None:
-        previous = _LAST_STATES.get(fingerprint)
+    def _track_invalidation(self, statement: str, states_key: str) -> None:
+        previous = _LAST_STATES.get(statement)
         if previous is not None and previous != states_key:
             QUERY_STATS.invalidations += 1
             get_registry().counter("db.cache.invalidation").inc()
-        _LAST_STATES[fingerprint] = states_key
-        _LAST_STATES.move_to_end(fingerprint)
-        while len(_LAST_STATES) > _MAX_TRACKED_FINGERPRINTS:
+        _LAST_STATES[statement] = states_key
+        _LAST_STATES.move_to_end(statement)
+        while len(_LAST_STATES) > _MAX_TRACKED_STATEMENTS:
             _LAST_STATES.popitem(last=False)
 
-    # -- incremental re-execution --------------------------------------
-    def _try_incremental(
-        self, plan: NormalizedPlan, states: tuple[str, ...], key: str
-    ) -> Frame | None:
-        if not plan.single_table:
-            return None
-        stmt = plan.statement
-        needed = referenced_column_names(stmt)
-        for record in reversed(_PARENTS.get(_scaffold_state(plan, states), [])):
-            residual = residual_conjuncts(plan, record.conjunct_keys)
-            if residual is None:
-                continue
-            if needed is None:
-                if not record.star:
-                    continue
-            elif not needed <= set(record.columns):
-                continue
-            parent = _memory_get(record.key) or self._disk_load(record.key)
-            if parent is None:
-                continue  # evicted since it was registered
-            residual_stmt = replace(stmt, where=conjoin(residual))
-            with get_tracer().span(
-                SQL_EXECUTE_SPAN,
-                cache="incremental",
-                residual_conjuncts=len(residual),
-                **_shape_attrs(plan),
-            ) as sp:
-                result = execute_over_frame(residual_stmt, parent)
-                sp.set(rows=result.num_rows)
-            self._store(key, plan, states, result)
-            return result
-        return None
-
     # -- publishing ----------------------------------------------------
-    def _store(
-        self, key: str, plan: NormalizedPlan, states: tuple[str, ...], frame: Frame
-    ) -> None:
+    def _store(self, key: str, frame: Frame) -> None:
         QUERY_STATS.stores += 1
         get_registry().counter("db.cache.store").inc()
         _memory_put(key, frame)
         self._disk_store(key, frame)
-        _register_parent(plan, states, key, frame)
 
     # -- disk tier -----------------------------------------------------
     def _entry_dir(self, key: str) -> Path | None:

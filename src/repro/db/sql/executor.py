@@ -95,24 +95,11 @@ def execute(
     return result
 
 
-def execute_over_frame(stmt: ast.SelectStatement, frame: Frame) -> Frame:
-    """Run a SELECT over one in-memory frame instead of stored tables.
-
-    The incremental re-execution path of the query-result cache: a redo
-    whose WHERE is strictly narrower than a cached parent's re-filters
-    the parent's result frame through the ordinary grouped/plain pipeline
-    (the statement's residual WHERE, projection, GROUP BY, ORDER BY and
-    LIMIT all apply) without touching row groups on disk.
-    """
-    return _execute_over_source(stmt, _FrameSource([frame]), ScanStats())
-
-
 # ----------------------------------------------------------------------
 # source resolution
 # ----------------------------------------------------------------------
 class _FrameSource:
-    """Chunk source over already-materialized frames (subquery, join,
-    cache incremental re-execution)."""
+    """Chunk source over already-materialized frames (subquery, join)."""
 
     def __init__(self, frames: list[Frame]):
         self.frames = frames

@@ -277,7 +277,7 @@ def summarize(spans: list[SpanLike]) -> str:
     if cache["queries"]:
         lines.append(
             f"sql cache: memory={cache['memory']} disk={cache['disk']} "
-            f"incremental={cache['incremental']} miss={cache['miss']} "
+            f"miss={cache['miss']} "
             f"over {cache['queries']} queries"
         )
     engine = engine_counts(dicts)
@@ -394,15 +394,17 @@ def sql_cache_counts(spans: list[SpanLike]) -> dict[str, int]:
 
     Every SELECT emits exactly one ``sql.execute`` span whose ``cache``
     attribute names the tier that served it (``memory`` / ``disk`` /
-    ``incremental`` / ``miss``; absent for cache-disabled execution,
-    counted as a miss here).
+    ``miss``; absent for cache-disabled execution, counted as a miss
+    here).  Traces from older versions may carry a retired tier
+    (``incremental``); such spans count as queries only.
     """
-    counts = {"memory": 0, "disk": 0, "incremental": 0, "miss": 0, "queries": 0}
+    counts = {"memory": 0, "disk": 0, "miss": 0, "queries": 0}
     for span in spans:
         doc = _as_dict(span)
         if doc.get("name") != SQL_EXECUTE_SPAN:
             continue
         counts["queries"] += 1
         tier = doc.get("attributes", {}).get("cache", "miss")
-        counts[tier if tier in counts else "miss"] += 1
+        if tier in ("memory", "disk", "miss"):
+            counts[tier] += 1
     return counts

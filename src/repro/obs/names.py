@@ -97,7 +97,6 @@ TIMING_ATTRS = frozenset(
 CACHE_ATTRS = frozenset(
     {
         "cache",
-        "residual_conjuncts",
         "row_groups_total",
         "row_groups_skipped",
         "morsels",

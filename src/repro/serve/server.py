@@ -270,7 +270,6 @@ class ReproServer:
             "query_cache": {
                 "memory_hits": qstats.memory_hits,
                 "disk_hits": qstats.disk_hits,
-                "incremental_hits": qstats.incremental_hits,
                 "misses": qstats.misses,
                 "hit_ratio": round(qstats.hit_ratio, 4),
             },

@@ -220,7 +220,7 @@ class TestQueryCacheSharing:
         result = harness.run_suite(questions=QUESTION_SUITE[:1])
         doc = result.perf.as_dict()
         assert "query_cache" in doc
-        assert {"memory_hits", "disk_hits", "incremental_hits", "misses",
+        assert {"memory_hits", "disk_hits", "misses",
                 "stores", "evictions", "invalidations"} <= set(doc["query_cache"])
 
     def test_parallel_workers_share_disk_cache_without_corruption(

@@ -151,7 +151,7 @@ def build_cached_trace() -> list[dict]:
     clock = SimulatedClock()
     tracer = Tracer(clock=clock, context=TraceContext("trace-cache"), id_prefix="bb00")
     with tracer.span("session", session_id="q1"):
-        for tier in ("memory", "disk", "incremental"):
+        for tier in ("memory", "disk"):
             with tracer.span("sql.execute", cache=tier, rows=5):
                 clock.advance(0.001)
         with tracer.span("sql.execute", cache="miss", rows=5):
@@ -164,15 +164,12 @@ def build_cached_trace() -> list[dict]:
 class TestSqlCacheViews:
     def test_sql_cache_counts(self):
         counts = sql_cache_counts(build_cached_trace())
-        assert counts == {
-            "memory": 1, "disk": 1, "incremental": 1, "miss": 2, "queries": 5,
-        }
+        assert counts == {"memory": 1, "disk": 1, "miss": 2, "queries": 4}
 
     def test_summarize_reports_cache_tiers(self):
         text = summarize(build_cached_trace())
         assert "sql cache:" in text
-        assert "memory=1" in text and "incremental=1" in text
-        assert "over 5 queries" in text
+        assert "memory=1 disk=1 miss=2 over 4 queries" in text
 
     def test_summarize_omits_line_without_queries(self):
         assert "sql cache" not in summarize(build_reference_trace())
@@ -194,14 +191,30 @@ class TestSqlCacheViews:
         assert "sql engine: 3 morsels executed, 3/6 row groups skipped by zone map" \
             in summarize(spans)
 
+    def test_cache_counts_summarize_older_incremental_tier(self):
+        """Older traces also carry a retired ``incremental`` tier; those
+        spans count as queries but not as misses."""
+        tracer = Tracer(clock=SimulatedClock(), id_prefix="dd00")
+        with tracer.span("session"):
+            with tracer.span("sql.execute", cache="incremental",
+                             residual_conjuncts=1, rows=5):
+                pass
+            with tracer.span("sql.execute", cache="memory", rows=5):
+                pass
+            with tracer.span("sql.execute", rows=5):   # no cache attr: a miss
+                pass
+        spans = tracer.span_dicts()
+        assert sql_cache_counts(spans) == {"memory": 1, "disk": 0, "miss": 1, "queries": 3}
+        assert "sql cache: memory=1 disk=0 miss=1 over 3 queries" in summarize(spans)
+
     def test_canonical_tree_ignores_cache_tier(self):
         """Sequential and parallel runs may serve the same query from
         different tiers; that must not read as a structural difference."""
         a, b = build_cached_trace(), build_cached_trace()
+        rotate = {"memory": "disk", "disk": "miss", "miss": "memory"}
         for span in b:
-            if span["attributes"].get("cache") == "disk":
-                span["attributes"]["cache"] = "memory"
-            elif span["attributes"].get("cache") == "miss":
-                span["attributes"]["cache"] = "incremental"
-                span["attributes"]["residual_conjuncts"] = 1
+            tier = span["attributes"].get("cache")
+            if tier is not None:
+                span["attributes"]["cache"] = rotate[tier]
+        assert a != b
         assert canonical_tree(a) == canonical_tree(b)
