@@ -39,17 +39,12 @@ def _fingerprint(frame) -> str:
 def test_s45_variability(benchmark, bench_ensemble, output_dir, tmp_path):
     n = max(RUNS_PER_QUESTION, 3)
 
-    # all seeded apps share one retrieval-artifact cache: the corpus is
-    # embedded once, every later app mmaps/memoizes the same matrix
-    rag_cache = str(tmp_path / "rag_cache")
-
     def run_both():
         precise_prints, ambiguous_ok = [], []
         for seed in range(n):
             app = InferA(
                 bench_ensemble, tmp_path / f"p{seed}",
-                InferAConfig(seed=seed, error_model=NO_ERRORS, llm_latency_s=0.0,
-                             retrieval_cache_dir=rag_cache),
+                InferAConfig(seed=seed, error_model=NO_ERRORS, llm_latency_s=0.0),
             )
             r = app.run_query(PRECISE)
             assert r.completed
@@ -57,8 +52,7 @@ def test_s45_variability(benchmark, bench_ensemble, output_dir, tmp_path):
 
             app2 = InferA(
                 bench_ensemble, tmp_path / f"a{seed}",
-                InferAConfig(seed=seed, error_model=NO_ERRORS, llm_latency_s=0.0,
-                             retrieval_cache_dir=rag_cache),
+                InferAConfig(seed=seed, error_model=NO_ERRORS, llm_latency_s=0.0),
             )
             r2 = app2.run_query(AMBIGUOUS)
             ambiguous_ok.append(r2)

@@ -8,7 +8,6 @@
 * ``eval``     — run the 20-question evaluation suite and print Table 2
 * ``sql``      — run SQL directly against an analysis database
 * ``trace``    — inspect a recorded execution trace (summary/tree/export)
-* ``cache``    — report or clear the shared query-result/retrieval caches
 * ``cost``     — report a run's LLM spend (per agent, §4.5 growth curve)
 * ``profile``  — run one query under the sampling profiler (flamegraph)
 * ``slo``      — check a trace/workdir against declarative SLO budgets
@@ -39,6 +38,7 @@ from repro.llm.errors import NO_ERRORS, ErrorModel
 from repro.obs.cost import CostLedger
 from repro.obs.events import EventBus, LiveRenderer, use_bus
 from repro.obs.export import (
+    find_trace_file,
     read_spans,
     render_tree,
     summarize,
@@ -122,13 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--chrome", action="store_true",
                        help="export in Chrome trace format (chrome://tracing / Perfetto)")
     trace.add_argument("--out", default=None, help="export output path")
-
-    cache = sub.add_parser("cache", help="inspect or clear the shared caches")
-    cache.add_argument("action", choices=("stats", "clear"),
-                       help="stats: tiered hit/miss counters + on-disk footprint; "
-                            "clear: drop in-process tiers and on-disk entries")
-    cache.add_argument("--workdir", default="infera_workspace",
-                       help="workdir whose .query_cache/.retrieval_cache to report")
 
     cost = sub.add_parser("cost", help="report a run's LLM spend")
     cost.add_argument("path",
@@ -351,15 +344,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         cache = perf.cache
         log.info("[perf] workers=%d runs=%d wall=%.2fs throughput=%.2f runs/s",
                  perf.workers, len(result.metrics), perf.total_wall_s, perf.runs_per_s)
-        log.info("[perf] retrieval cache: %d hits (%d memory, %d disk), %d builds; "
-                 "query memo %d/%d hits",
-                 cache.matrix_hits, cache.memory_hits, cache.disk_hits, cache.builds,
+        log.info("[perf] retrieval cache: %d hits, %d builds; query memo %d/%d hits",
+                 cache.matrix_hits, cache.builds,
                  cache.query_memo_hits, cache.query_memo_hits + cache.query_memo_misses)
         qc = perf.query_cache
-        log.info("[perf] query cache: %d hits (%d memory, %d disk), "
-                 "%d misses (%.1f%% hit ratio); %d invalidations",
-                 qc.hits, qc.memory_hits, qc.disk_hits,
-                 qc.misses, 100.0 * qc.hit_ratio, qc.invalidations)
+        log.info("[perf] query cache: %d hits, %d misses (%.1f%% hit ratio); "
+                 "%d invalidations",
+                 qc.hits, qc.misses, 100.0 * qc.hit_ratio, qc.invalidations)
         totals = (perf.cost or {}).get("totals", {})
         if totals.get("calls"):
             log.info("[cost] $%.4f over %d LLM calls (%s tokens); "
@@ -377,74 +368,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
                       phase, int(agg["spans"]), agg["total_s"], int(agg["errors"]))
     if result.trace_path is not None:
         log.info("merged trace: %s (%d spans)", result.trace_path, len(result.spans))
-    return 0
-
-
-def cmd_cache(args: argparse.Namespace) -> int:
-    from repro.db import cache as query_cache
-    from repro.rag import cache as rag_cache
-
-    workdir = Path(args.workdir)
-    store = query_cache.QueryResultCache(workdir / ".query_cache")
-    retrieval_dir = workdir / ".retrieval_cache"
-    retrieval_files = (
-        sorted(retrieval_dir.glob("retrieval_*")) if retrieval_dir.is_dir() else []
-    )
-    retrieval_bytes = sum(f.stat().st_size for f in retrieval_files)
-
-    if args.action == "clear":
-        query_cache.clear_memory_cache()
-        rag_cache.clear_memory_cache()
-        dropped = store.clear_disk()
-        for f in retrieval_files:
-            f.unlink(missing_ok=True)
-        print(f"query cache: dropped {dropped} result entries under {store.cache_dir}")
-        print(f"retrieval cache: dropped {len(retrieval_files)} artifacts "
-              f"({retrieval_bytes:,} bytes) under {retrieval_dir}")
-        return 0
-
-    if not store.cache_dir.is_dir() and not retrieval_dir.is_dir():
-        # a fresh or foreign workdir: say so instead of a wall of zeros
-        print(f"no caches under {workdir} "
-              f"(neither {store.cache_dir.name} nor {retrieval_dir.name} exists yet); "
-              f"run a query or the eval harness first")
-        return 0
-
-    import json as _json
-
-    qstats = query_cache.stats_snapshot()
-    print(f"query result cache ({store.cache_dir})")
-    print(f"  disk: {len(store.disk_entries())} entries, {store.footprint_bytes():,} bytes")
-    # entries published by an older repro version have no CRC sidecar
-    # field; they still load (verified structurally on first read), but
-    # say so instead of letting a missing key look like corruption
-    legacy = 0
-    for entry in store.disk_entries():
-        try:
-            meta = _json.loads((entry / query_cache.SIDECAR_NAME).read_text())
-        except (OSError, ValueError):
-            continue  # unreadable entries are the read path's problem
-        if isinstance(meta, dict) and "crc32" not in meta:
-            legacy += 1
-    if legacy:
-        print(f"  note: {legacy} entries written by an older repro version "
-              f"(no CRC sidecar); verified structurally on first read")
-    quarantined_disk = len(store.quarantined_entries())
-    if quarantined_disk:
-        print(f"  quarantined: {quarantined_disk} corrupt entries moved aside")
-    print(f"  process counters: memory={qstats.memory_hits} disk={qstats.disk_hits} "
-          f"miss={qstats.misses} "
-          f"(hit ratio {qstats.hit_ratio:.1%} of {qstats.requests})")
-    print(f"  stores={qstats.stores} evictions={qstats.evictions} "
-          f"invalidations={qstats.invalidations} quarantined={qstats.quarantined}")
-    rstats = rag_cache.stats_snapshot()
-    print(f"retrieval artifact cache ({retrieval_dir})")
-    print(f"  disk: {len(retrieval_files)} files, {retrieval_bytes:,} bytes")
-    print(f"  process counters: memory={rstats.memory_hits} disk={rstats.disk_hits} "
-          f"builds={rstats.builds}")
-    print(f"  query memo: {rstats.query_memo_hits}/{rstats.query_memo_hits + rstats.query_memo_misses} "
-          f"hits, {rstats.query_memo_evictions} evictions "
-          f"(capacity {rag_cache.query_memo_capacity()})")
     return 0
 
 
@@ -512,13 +435,17 @@ def cmd_chat(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     try:
-        spans = read_spans(args.path)
+        trace_path = find_trace_file(args.path)
+        spans = read_spans(trace_path)
     except FileNotFoundError:
         # a fresh workdir simply has no trace yet; that's a state to
         # report, not a stack trace
         print(f"no trace yet under {args.path} "
               f"(run a query or the eval harness first)")
         return 0
+    if trace_path.parent != Path(args.path) and Path(args.path).is_dir():
+        # a query workdir: the trace came from its newest session
+        print(f"reading {trace_path}")
     if not spans:
         print(f"trace at {args.path} is empty (no spans recorded yet)")
         return 0
@@ -789,7 +716,6 @@ _COMMANDS = {
     "query": cmd_query,
     "eval": cmd_eval,
     "sql": cmd_sql,
-    "cache": cmd_cache,
     "chat": cmd_chat,
     "trace": cmd_trace,
     "cost": cmd_cost,

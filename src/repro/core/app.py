@@ -42,7 +42,7 @@ from repro.obs.names import COST_LEDGER_SPAN, SESSION_SPAN
 from repro.obs.tracer import Tracer, current_context, use_tracer
 from repro.resilience import BudgetExceeded
 from repro.provenance import ProvenanceTracker
-from repro.rag import ColumnRetriever, RetrievalArtifactCache
+from repro.rag import ColumnRetriever
 from repro.sandbox import (
     InProcessClient,
     SandboxClient,
@@ -142,8 +142,6 @@ class InferA:
         manifest = ensemble.manifest
         self.column_descriptions = manifest.get("column_descriptions", COLUMN_DESCRIPTIONS)
         self.structure = manifest.get("structure", FILE_STRUCTURE_DESCRIPTIONS)
-        cache_dir = self.config.retrieval_cache_dir or self.workdir / ".retrieval_cache"
-        self._retrieval_cache = RetrievalArtifactCache(cache_dir)
         self._retriever: ColumnRetriever | None = retriever
         # warm sandbox fleet (config.sandbox_workers / REPRO_SANDBOX_WORKERS):
         # built lazily on the first query and shared by every query of this
@@ -172,21 +170,19 @@ class InferA:
         )
         if callable(self._llm_factory):
             base_llm = self._llm_factory(cfg.seed + query_index)
-        # the corpus is fixed for the ensemble, so the retriever (and its
-        # embedding matrix, shared on disk across processes) is built once
-        # per app and reused by every query
+        # the corpus is fixed for the ensemble, so the retriever is built
+        # once per app and reused by every query (its embedding matrix is
+        # memoized per process, see repro.rag.cache)
         if self._retriever is None:
             self._retriever = ColumnRetriever(
                 self.column_descriptions,
                 self.structure,
                 important=IMPORTANT_COLUMNS,
                 embedder=HashedEmbedder(cfg.embedder_dim),
-                cache=self._retrieval_cache,
             )
         retriever = self._retriever
         provenance = ProvenanceTracker(self.workdir, session_id, clock=self.clock)
-        query_cache_dir = cfg.query_cache_dir or self.workdir / ".query_cache"
-        db = Database(self.workdir / session_id / "analysis.db", cache_dir=query_cache_dir)
+        db = Database(self.workdir / session_id / "analysis.db")
         provenance.register_external(db.path)
         fleet_workers = resolve_sandbox_workers(cfg.sandbox_workers)
         if self._shared_sandbox is not None:
@@ -247,6 +243,26 @@ class InferA:
             self._fleet = None
 
     # ------------------------------------------------------------------
+    def _claim_session_dir(self, base: str) -> str:
+        """A session directory name not yet taken in this workdir.
+
+        One-shot runs sharing a workdir each count queries from 1, so two
+        questions that slug alike would both be ``query_001_<slug>`` and
+        the second would overwrite the first's provenance.  A taken name
+        gets a ``_2``, ``_3``, ... suffix; ``mkdir`` claims it atomically,
+        so concurrent processes never share a directory.  The query index
+        (which seeds the LLM) is left alone.
+        """
+        self.workdir.mkdir(parents=True, exist_ok=True)
+        name, n = base, 1
+        while True:
+            try:
+                (self.workdir / name).mkdir()
+                return name
+            except FileExistsError:
+                n += 1
+                name = f"{base}_{n}"
+
     def run_query(
         self,
         question: str,
@@ -263,7 +279,8 @@ class InferA:
         with self._count_lock:
             self._query_count += 1
             query_index = self._query_count
-        session_id = session_id or f"query_{query_index:03d}_{_slug(question)}"
+        if session_id is None:
+            session_id = self._claim_session_dir(f"query_{query_index:03d}_{_slug(question)}")
         # the session tracer parents itself under whatever trace is already
         # active (e.g. the evaluation harness's suite trace) so multi-process
         # runs merge into one coherent tree

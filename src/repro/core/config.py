@@ -31,16 +31,6 @@ class InferAConfig:
     llm_latency_s: float = 1.2           # simulated per-invocation latency
     embedder_dim: int = 384
     row_group_size: int = 65536
-    # where the shared retrieval-artifact cache (corpus embedding matrix,
-    # see repro.rag.cache) lives; None -> "<workdir>/.retrieval_cache".
-    # The evaluation harness points every run at one shared directory so
-    # worker processes mmap a single matrix instead of re-embedding.
-    retrieval_cache_dir: str | None = None
-    # on-disk tier of the semantic query-result cache (repro.db.cache);
-    # None -> "<workdir>/.query_cache".  The harness points every run and
-    # worker process at one shared directory so a result executed once is
-    # mmap-served everywhere else.
-    query_cache_dir: str | None = None
     # when set, generated code executes on a remote sandbox gateway (the
     # paper's ASGI-server deployment) instead of in-process
     sandbox_url: str | None = None

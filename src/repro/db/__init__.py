@@ -18,7 +18,7 @@ Errors carry the known column/table names so the agents' quality-assurance
 loop can repair near-miss identifiers, the paper's dominant failure mode.
 """
 
-from repro.db.cache import QueryCacheStats, QueryResultCache
+from repro.db.cache import QueryCacheStats
 from repro.db.database import CatalogSnapshot, Database
 from repro.db.errors import (
     DBError,
@@ -37,7 +37,6 @@ __all__ = [
     "IngestKilled",
     "IngestReport",
     "QueryCacheStats",
-    "QueryResultCache",
     "SQLSyntaxError",
     "StreamingIngester",
     "UnknownColumnError",

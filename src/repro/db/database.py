@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro import faults
+from repro.db.cache import execute_cached
 from repro.db.errors import DBError, IngestKilled, UnknownTableError
 from repro.db.sql.ast import CreateTableAs, SelectStatement
 from repro.db.sql.executor import execute
@@ -133,10 +134,8 @@ class CatalogSnapshot:
 class Database:
     """An embedded, directory-backed columnar SQL database.
 
-    ``cache_dir`` enables the on-disk tier of the query-result cache
-    (shared across processes pointing at the same directory); the
-    in-process memoization tier is always active unless ``result_cache``
-    is False.
+    SELECT results are memoized in the process-wide query-result cache
+    (:mod:`repro.db.cache`) unless ``result_cache`` is False.
 
     ``wal`` (default on) routes populated creates and appends through the
     write-ahead log's commit protocol; ``wal_fsync=False`` keeps the
@@ -147,7 +146,6 @@ class Database:
     def __init__(
         self,
         path: str | Path,
-        cache_dir: str | Path | None = None,
         result_cache: bool = True,
         wal: bool = True,
         wal_fsync: bool = True,
@@ -161,12 +159,7 @@ class Database:
         )
         self._write_lock = threading.Lock()
         self._pins = threading.local()
-        if result_cache:
-            from repro.db.cache import QueryResultCache
-
-            self._result_cache = QueryResultCache(cache_dir)
-        else:
-            self._result_cache = None
+        self._result_cache = result_cache
 
     def _read_catalog(self) -> dict[str, dict]:
         if self._catalog_path.exists():
@@ -226,8 +219,8 @@ class Database:
 
         Prefers the store's content signature (schema + per-segment
         checksums), which is identical across databases holding the same
-        bytes — that is what lets harness worker processes share one
-        on-disk result cache.  Legacy tables without checksums fall back
+        bytes — that is what lets the harness runs of one process share
+        cached results.  Legacy tables without checksums fall back
         to a path-scoped state, which is always safe, never shared.
         """
         snap = self._active_snapshot()
@@ -553,9 +546,9 @@ class Database:
             return self._execute_select(stmt)
 
     def _execute_select(self, stmt: SelectStatement) -> Frame:
-        if self._result_cache is None:
-            return execute(self, stmt, self.last_scan_stats)
-        return self._result_cache.execute(self, stmt, self.last_scan_stats)
+        if self._result_cache:
+            return execute_cached(self, stmt, self.last_scan_stats)
+        return execute(self, stmt, self.last_scan_stats)
 
     def table_frame(self, name: str) -> Frame:
         """Materialize a whole table (result-sized tables only)."""

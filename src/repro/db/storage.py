@@ -45,8 +45,8 @@ def publish_json_verified(
     """Atomic JSON publish hardened with write-verify-retry.
 
     Catalog and table metadata are re-read from disk by *fresh* objects on
-    every ``Database.store()`` call, so — unlike cache entries, which heal
-    on read — a torn publish here cannot be deferred to a read-side check:
+    every ``Database.store()`` call, so a torn publish here cannot be
+    deferred to a read-side check:
     the temp file is read back and compared against the intended bytes
     before ``os.replace`` makes it visible, and a mismatch (the
     ``storage.torn_write`` fault point, or a genuinely short write) is
@@ -131,8 +131,8 @@ class TableStore:
         """Content hash over schema + per-segment checksums.
 
         The query-result cache keys cached frames on this signature, which
-        makes results shareable across databases (and across harness
-        worker processes) that hold byte-identical tables.  Tables written
+        makes results shareable across databases that hold byte-identical
+        tables.  Tables written
         before checksums existed return None; callers must then fall back
         to a path-scoped key.
 

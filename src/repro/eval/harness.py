@@ -14,12 +14,12 @@ they are identical in every interpreter and in every worker process —
 and results are merged back in canonical grid order, which makes the
 parallel ``RunMetrics`` rows identical to a sequential run's (except the
 measured wall-clock ``time_s``, which is a per-run measurement, not a
-derived output).  All runs share one retrieval-artifact cache (see
-:mod:`repro.rag.cache`) so only the first run per corpus pays the
-column-corpus embedding cost, and one semantic query-result cache (see
-:mod:`repro.db.cache`) so a SELECT executed in any run — or any redo
-attempt — is served from memory or mmap everywhere else; hit/miss
-counters for both land in ``HarnessResult.perf``.
+derived output).  The runs of one process share the in-process
+retrieval-artifact cache (see :mod:`repro.rag.cache`), so only the first
+run per process pays the column-corpus embedding cost, and the
+query-result cache (see :mod:`repro.db.cache`), so a SELECT repeated in
+a later run or redo attempt is served from memory; hit/miss counters for
+both land in ``HarnessResult.perf``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from pathlib import Path
 from repro.agents.planner import AutoApprove
 from repro.core import InferA, InferAConfig
 from repro.db.cache import QueryCacheStats
+from repro.db.cache import clear_memory_cache as clear_query_cache
 from repro.db.cache import stats_snapshot as query_stats_snapshot
 from repro.eval.metrics import MetricsAggregator, RunMetrics, oracle_assess
 from repro.eval.questions import (
@@ -129,7 +130,7 @@ class HarnessPerf:
         """Chaos accounting: injected faults and the recoveries that
         absorbed them, pulled from the merged obs-metrics counters."""
         prefixes = ("faults.", "resilience.", "checkpoint.corrupt",
-                    "db.cache.quarantine", "storage.write_verify_retry")
+                    "storage.write_verify_retry")
         return {
             name: value
             for name, value in sorted(self.obs_metrics.get("counters", {}).items())
@@ -246,14 +247,11 @@ class EvaluationHarness:
         n_workers = self.resolve_workers(workers)
         grid = [(question, run_index) for question in questions for run_index in range(runs)]
 
-        # worker parity: pool workers start with empty in-process cache
-        # tiers, so the main process must too — otherwise a sequential
+        # worker parity: pool workers start with an empty query-result
+        # cache, so the main process must too — otherwise a sequential
         # suite could be served from memory warmed by earlier work in this
-        # interpreter and diverge from a parallel run of the same grid.
-        # Cross-suite reuse flows through the shared on-disk tier instead.
-        from repro.db import cache as query_cache
-
-        query_cache.clear_memory_cache()
+        # interpreter and its counters diverge from a parallel run's.
+        clear_query_cache()
 
         # streaming telemetry: when an event bus is active (repro eval
         # --live, serving layer), the trace file is written incrementally
@@ -424,8 +422,6 @@ class EvaluationHarness:
                 seed=seed,
                 error_model=self.config.error_model,
                 llm_latency_s=self.config.llm_latency_s,
-                retrieval_cache_dir=str(self.workdir / ".retrieval_cache"),
-                query_cache_dir=str(self.workdir / ".query_cache"),
                 fault_profile=self.config.fault_profile,
                 token_budget=self.config.token_budget,
             ),

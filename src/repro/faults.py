@@ -4,8 +4,8 @@
 ``center_x`` for ``fof_halo_center_x`` — from a dedicated RNG stream so
 the paper's QA-loop dynamics reproduce bit-for-bit.  This module extends
 the same philosophy to *infrastructure* faults: the HTTP sandbox gateway
-dropping a request, a query-cache ``.npy`` entry coming back with a
-flipped bit, a checkpoint blob corrupted on disk.  Each named fault point
+dropping a request, a metadata publish torn mid-write, a checkpoint blob
+corrupted on disk.  Each named fault point
 draws from its own derived RNG stream (:func:`repro.util.rngs.derive_seed`),
 so changing how often one component is exercised never perturbs another,
 and the same seed + profile yields the identical fault schedule in every
@@ -45,7 +45,6 @@ SANDBOX_HANG = "sandbox.request.hang"          # request exceeds its deadline
 SANDBOX_5XX = "sandbox.response.5xx"           # gateway answers 503
 SANDBOX_GARBAGE = "sandbox.response.garbage"   # reply body is not valid JSON
 STORAGE_TORN_WRITE = "storage.torn_write"      # publish truncated mid-write
-STORAGE_BIT_FLIP = "storage.bit_flip"          # one bit flips on a disk read
 CHECKPOINT_CORRUPT = "checkpoint.corrupt"      # checkpoint blob corrupted on disk
 
 # Ingest-path kill faults.  These simulate the *ingester process dying* at
@@ -65,7 +64,6 @@ FAULT_POINTS = (
     SANDBOX_5XX,
     SANDBOX_GARBAGE,
     STORAGE_TORN_WRITE,
-    STORAGE_BIT_FLIP,
     CHECKPOINT_CORRUPT,
     WAL_TORN_TAIL,
     INGEST_KILL_APPLY,
@@ -93,7 +91,6 @@ class FaultProfile:
     sandbox_5xx: float = 0.0
     sandbox_garbage: float = 0.0
     storage_torn_write: float = 0.0
-    storage_bit_flip: float = 0.0
     checkpoint_corrupt: float = 0.0
     wal_torn_tail: float = 0.0
     ingest_kill_apply: float = 0.0
@@ -106,7 +103,6 @@ class FaultProfile:
         SANDBOX_5XX: "sandbox_5xx",
         SANDBOX_GARBAGE: "sandbox_garbage",
         STORAGE_TORN_WRITE: "storage_torn_write",
-        STORAGE_BIT_FLIP: "storage_bit_flip",
         CHECKPOINT_CORRUPT: "checkpoint_corrupt",
         WAL_TORN_TAIL: "wal_torn_tail",
         INGEST_KILL_APPLY: "ingest_kill_apply",
@@ -144,7 +140,6 @@ class FaultProfile:
                 sandbox_5xx=0.05,
                 sandbox_garbage=0.03,
                 storage_torn_write=0.05,
-                storage_bit_flip=0.05,
                 checkpoint_corrupt=0.05,
                 wal_torn_tail=0.05,
                 ingest_kill_apply=0.05,
@@ -159,7 +154,6 @@ class FaultProfile:
                 sandbox_5xx=0.25,
                 sandbox_garbage=0.15,
                 storage_torn_write=0.30,
-                storage_bit_flip=0.30,
                 checkpoint_corrupt=0.30,
                 wal_torn_tail=0.25,
                 ingest_kill_apply=0.20,

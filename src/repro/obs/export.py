@@ -53,10 +53,12 @@ def write_jsonl(spans: list[SpanLike], path: str | Path) -> int:
 
 
 def find_trace_file(path: str | Path) -> Path:
-    """Resolve a trace file from a path that may be a session directory.
+    """Resolve a trace file from a path that may be a directory.
 
-    Directories are searched for provenance-registered ``*trace.jsonl``
-    files (latest sequence number wins, matching "the session's trace").
+    A directory's own ``*trace.jsonl`` files win (latest sequence number,
+    matching "the session's trace").  A workdir with none at its top
+    level — one-shot queries keep theirs in ``query_NNN_<slug>/`` session
+    directories — falls back to the most recently written session trace.
     """
     path = Path(path)
     if path.is_file():
@@ -65,6 +67,10 @@ def find_trace_file(path: str | Path) -> Path:
         candidates = sorted(path.glob("*trace.jsonl"))
         if candidates:
             return candidates[-1]
+        sessions = path.glob("*/*trace.jsonl")
+        newest = max(sessions, key=lambda p: (p.stat().st_mtime_ns, str(p)), default=None)
+        if newest is not None:
+            return newest
         raise FileNotFoundError(f"no *trace.jsonl under {path}")
     raise FileNotFoundError(f"no trace at {path}")
 
@@ -287,11 +293,10 @@ def summarize(spans: list[SpanLike]) -> str:
             f"{engine['skipped']}/{engine['row_groups']} row groups skipped by zone map"
         )
     chaos = fault_counts(dicts)
-    if chaos["faults"] or chaos["degraded"] or chaos["quarantined"]:
+    if chaos["faults"] or chaos["degraded"]:
         lines.append(
             f"faults: {chaos['faults']} injected, {chaos['retries']} retries, "
-            f"{chaos['degraded']} degraded spans, "
-            f"{chaos['quarantined']} cache entries quarantined"
+            f"{chaos['degraded']} degraded spans"
         )
     fleet = fleet_counts(dicts)
     if fleet["routes"] or fleet["trips"] or fleet["fallbacks"]:
@@ -361,14 +366,13 @@ def fleet_counts(spans: list[SpanLike]) -> dict[str, int]:
 
 def fault_counts(spans: list[SpanLike]) -> dict[str, int]:
     """Chaos accounting stamped on spans by :mod:`repro.faults` and the
-    resilience layer: injected-fault totals, retry totals, how many spans
-    degraded onto a fallback, and cache-entry quarantines."""
-    counts = {"faults": 0, "retries": 0, "degraded": 0, "quarantined": 0}
+    resilience layer: injected-fault totals, retry totals, and how many
+    spans degraded onto a fallback."""
+    counts = {"faults": 0, "retries": 0, "degraded": 0}
     for span in spans:
         attrs = _as_dict(span).get("attributes", {})
         counts["faults"] += int(attrs.get("faults", 0))
         counts["retries"] += int(attrs.get("retries", 0))
-        counts["quarantined"] += int(attrs.get("cache_quarantined", 0))
         if attrs.get("degraded"):
             counts["degraded"] += 1
     return counts
@@ -393,10 +397,10 @@ def sql_cache_counts(spans: list[SpanLike]) -> dict[str, int]:
     """Query-result-cache outcomes recorded on ``sql.execute`` spans.
 
     Every SELECT emits exactly one ``sql.execute`` span whose ``cache``
-    attribute names the tier that served it (``memory`` / ``disk`` /
-    ``miss``; absent for cache-disabled execution, counted as a miss
-    here).  Traces from older versions may carry a retired tier
-    (``incremental``); such spans count as queries only.
+    attribute says how it was served (``memory`` / ``miss``; absent for
+    cache-disabled execution, counted as a miss here).  Traces from
+    older versions may also carry ``disk`` hits, still counted, or the
+    retired ``incremental`` tier, whose spans count as queries only.
     """
     counts = {"memory": 0, "disk": 0, "miss": 0, "queries": 0}
     for span in spans:

@@ -28,7 +28,7 @@ from __future__ import annotations
 # span names shared across subsystems
 # ----------------------------------------------------------------------
 # one per SELECT, emitted by the executor on a miss and by the
-# query-result cache on every hit tier (repro.db.sql.executor,
+# query-result cache on every hit (repro.db.sql.executor,
 # repro.db.cache); analyzers key cache/engine accounting on it
 SQL_EXECUTE_SPAN = "sql.execute"
 # one per LLM exchange (repro.llm.mock); token and cost accounting ride
@@ -91,20 +91,19 @@ INGEST_KILLS = "ingest.kills"
 TIMING_ATTRS = frozenset(
     {"latency_s", "wall_s", "duration_s", "workers", "queue_wait_s", "exec_s"}
 )
-# attributes that depend on which query-result-cache tier served a SELECT
+# attributes that depend on whether the query-result cache served a SELECT
 # (and how much scan work it therefore did) — a memory hit in one process
-# is a disk hit or a full scan in another without the *result* differing
+# is a full scan in another without the *result* differing
 CACHE_ATTRS = frozenset(
     {
         "cache",
         "row_groups_total",
         "row_groups_skipped",
         "morsels",
-        "cache_quarantined",
     }
 )
 # fault-injection and resilience accounting: a chaos run absorbs injected
-# faults (retries, fallbacks, quarantines) without the *work* differing,
+# faults (retries, fallbacks) without the *work* differing,
 # so a chaos trace must canonicalize equal to a fault-free one
 FAULT_ATTRS = frozenset(
     {"faults", "retries", "attempts", "degraded", "degraded_reason", "probe"}

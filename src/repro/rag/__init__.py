@@ -8,7 +8,7 @@ prompts (user query, assigned task, full plan, and an "[IMPORTANT]"
 prompt boosting expert-tagged columns), top 20 each, up to 80 documents.
 """
 
-from repro.rag.cache import CacheStats, RetrievalArtifactCache, corpus_key
+from repro.rag.cache import CacheStats, corpus_key, corpus_matrix
 from repro.rag.documents import ColumnDocument, build_documents, chunk_text
 from repro.rag.index import VectorIndex
 from repro.rag.mmr import mmr_select
@@ -17,10 +17,10 @@ from repro.rag.retriever import ColumnRetriever, RetrievalResult
 __all__ = [
     "CacheStats",
     "ColumnDocument",
-    "RetrievalArtifactCache",
     "build_documents",
     "chunk_text",
     "corpus_key",
+    "corpus_matrix",
     "VectorIndex",
     "mmr_select",
     "ColumnRetriever",

@@ -7,50 +7,34 @@ embedder geometry).  Re-embedding it for every query — as every
 evaluation run used to do — is redundant work on the hottest end-to-end
 path in the repo.
 
-This module builds the matrix once per (corpus-content-hash, embedder
-key), persists it as ``<key>.npy`` plus a JSON sidecar under a cache
-directory, and serves it back memory-mapped so that concurrent harness
-worker processes share one on-disk copy instead of each materializing
-hundreds of column embeddings.  Three tiers:
+This module keeps two in-process memos:
 
-1. in-process memo (dict, exact same object back);
-2. on-disk ``.npy`` opened with ``mmap_mode='r'`` (validated against the
-   sidecar's fingerprint and shape; matrices up to
-   ``MATERIALIZE_MAX_BYTES`` are then copied into memory, because MMR's
-   per-row indexed dot products are ~4x slower over a memmap);
-3. cold build via ``embedder.embed_batch`` followed by an atomic
-   write-then-rename publish, so racing processes never observe a
-   half-written artifact.
+1. the corpus embedding matrix, keyed by :func:`corpus_key` (corpus
+   content hash + embedder key): built once per process, then the same
+   array is handed to every retriever;
+2. a bounded LRU of query embeddings shared by every ``VectorIndex``.
 
-All tiers are counted in process-local :class:`CacheStats`; the
-evaluation harness snapshots them around each run and merges the deltas
-into its result, which is how the hit/miss counters in
-``HarnessResult.perf`` are produced.
+There is no on-disk tier: the corpus is a few dozen short documents, so
+a process that starts cold re-embeds it in milliseconds.
+
+Both memos count into process-local :class:`CacheStats`; the evaluation
+harness snapshots them around each run and merges the deltas into its
+result, which is how the hit/miss counters in ``HarnessResult.perf`` are
+produced.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.llm.embeddings import HashedEmbedder
 from repro.util.stats import MergeableCounters
 
-SIDECAR_SUFFIX = ".json"
-MATRIX_SUFFIX = ".npy"
 QUERY_MEMO_MAX = 1024
-# below this size a disk-loaded matrix is copied into memory: MMR does
-# thousands of per-row indexed dot products per retrieval, which run
-# ~4x slower over a memmap subclass than over a plain ndarray.  Large
-# corpora stay memory-mapped so workers still share one on-disk copy.
-MATERIALIZE_MAX_BYTES = int(os.environ.get("REPRO_RAG_MMAP_THRESHOLD", 32 << 20))
 
 
 # ----------------------------------------------------------------------
@@ -58,10 +42,9 @@ MATERIALIZE_MAX_BYTES = int(os.environ.get("REPRO_RAG_MMAP_THRESHOLD", 32 << 20)
 # ----------------------------------------------------------------------
 @dataclass
 class CacheStats(MergeableCounters):
-    """Process-local counters for every cache tier (mergeable)."""
+    """Process-local counters of both memos (mergeable)."""
 
-    memory_hits: int = 0
-    disk_hits: int = 0
+    memory_hits: int = 0             # corpus matrix served from the memo
     builds: int = 0                  # cold misses: full corpus re-embeds
     query_memo_hits: int = 0
     query_memo_misses: int = 0
@@ -69,16 +52,16 @@ class CacheStats(MergeableCounters):
 
     @property
     def matrix_hits(self) -> int:
-        return self.memory_hits + self.disk_hits
+        return self.memory_hits
 
     @property
     def matrix_requests(self) -> int:
-        return self.memory_hits + self.disk_hits + self.builds
+        return self.memory_hits + self.builds
 
 
 GLOBAL_STATS = CacheStats()
 
-# in-process matrix memo: key -> ndarray (tier 1)
+# corpus matrix memo: corpus_key -> ndarray
 _MATRIX_MEMO: dict[str, np.ndarray] = {}
 
 # shared query-embedding memo: (embedder key, query text) -> vector.
@@ -86,7 +69,7 @@ _MATRIX_MEMO: dict[str, np.ndarray] = {}
 # re-embed the same handful of prompts across retrieve calls, redo
 # attempts, and harness runs, so one memo beats one per index instance.
 _QUERY_MEMO: OrderedDict[tuple[str, str], np.ndarray] = OrderedDict()
-_QUERY_MEMO_CAPACITY = int(os.environ.get("REPRO_QUERY_MEMO_ENTRIES", QUERY_MEMO_MAX))
+_QUERY_MEMO_CAPACITY = QUERY_MEMO_MAX
 
 
 def stats_snapshot() -> CacheStats:
@@ -95,7 +78,7 @@ def stats_snapshot() -> CacheStats:
 
 
 def clear_memory_cache() -> None:
-    """Drop the in-process memos (tests use this to force disk reads)."""
+    """Drop both memos (tests use this to force a cold build)."""
     _MATRIX_MEMO.clear()
     _QUERY_MEMO.clear()
 
@@ -135,7 +118,7 @@ def memoized_query_embedding(embedder: HashedEmbedder, query: str) -> np.ndarray
 
 
 # ----------------------------------------------------------------------
-# keys
+# the corpus matrix
 # ----------------------------------------------------------------------
 def corpus_key(texts: list[str], embedder_key: str) -> str:
     """Content hash of the ordered corpus texts under one embedder geometry.
@@ -152,87 +135,13 @@ def corpus_key(texts: list[str], embedder_key: str) -> str:
     return h.hexdigest()
 
 
-# ----------------------------------------------------------------------
-# the cache
-# ----------------------------------------------------------------------
-class RetrievalArtifactCache:
-    """Builds/loads the corpus embedding matrix once per content key.
-
-    ``matrix_for`` returns a read-only array: either the in-process memo,
-    a memory-mapped view of the persisted ``.npy`` (shared across worker
-    processes), or a freshly built matrix that is then published for
-    everyone else.
-    """
-
-    def __init__(self, cache_dir: str | Path):
-        self.cache_dir = Path(cache_dir)
-
-    # -- paths ---------------------------------------------------------
-    def matrix_path(self, key: str) -> Path:
-        return self.cache_dir / f"retrieval_{key}{MATRIX_SUFFIX}"
-
-    def sidecar_path(self, key: str) -> Path:
-        return self.cache_dir / f"retrieval_{key}{SIDECAR_SUFFIX}"
-
-    # -- api -----------------------------------------------------------
-    def matrix_for(self, texts: list[str], embedder: HashedEmbedder) -> np.ndarray:
-        key = corpus_key(texts, embedder.cache_key())
-
-        cached = _MATRIX_MEMO.get(key)
-        if cached is not None:
-            GLOBAL_STATS.memory_hits += 1
-            return cached
-
-        loaded = self._load(key, n_documents=len(texts), dim=embedder.dim)
-        if loaded is not None:
-            GLOBAL_STATS.disk_hits += 1
-            _MATRIX_MEMO[key] = loaded
-            return loaded
-
-        GLOBAL_STATS.builds += 1
-        matrix = embedder.embed_batch(texts)
-        self._publish(key, matrix, embedder)
-        _MATRIX_MEMO[key] = matrix
+def corpus_matrix(texts: list[str], embedder: HashedEmbedder) -> np.ndarray:
+    """The corpus embedding matrix, built once per :func:`corpus_key`."""
+    key = corpus_key(texts, embedder.cache_key())
+    matrix = _MATRIX_MEMO.get(key)
+    if matrix is not None:
+        GLOBAL_STATS.memory_hits += 1
         return matrix
-
-    # -- disk tier -----------------------------------------------------
-    def _load(self, key: str, n_documents: int, dim: int) -> np.ndarray | None:
-        matrix_path = self.matrix_path(key)
-        sidecar_path = self.sidecar_path(key)
-        if not (matrix_path.exists() and sidecar_path.exists()):
-            return None
-        try:
-            meta = json.loads(sidecar_path.read_text())
-            if meta.get("key") != key:
-                return None
-            matrix = np.load(matrix_path, mmap_mode="r")
-        except (OSError, ValueError, json.JSONDecodeError):
-            return None
-        if matrix.shape != (n_documents, dim):
-            return None
-        if matrix.nbytes <= MATERIALIZE_MAX_BYTES:
-            return np.ascontiguousarray(matrix)
-        return matrix
-
-    def _publish(self, key: str, matrix: np.ndarray, embedder: HashedEmbedder) -> None:
-        """Atomic write-then-rename so concurrent builders never clash."""
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        sidecar = {
-            "key": key,
-            "embedder": embedder.cache_key(),
-            "n_documents": int(matrix.shape[0]),
-            "dim": int(matrix.shape[1]),
-            "dtype": str(matrix.dtype),
-        }
-        try:
-            fd, tmp_name = tempfile.mkstemp(dir=self.cache_dir, suffix=MATRIX_SUFFIX)
-            with os.fdopen(fd, "wb") as fh:
-                np.save(fh, matrix)
-            os.replace(tmp_name, self.matrix_path(key))
-            fd, tmp_name = tempfile.mkstemp(dir=self.cache_dir, suffix=SIDECAR_SUFFIX)
-            with os.fdopen(fd, "w") as fh:
-                json.dump(sidecar, fh, indent=1)
-            os.replace(tmp_name, self.sidecar_path(key))
-        except OSError:
-            # a read-only workdir degrades to in-process caching only
-            pass
+    GLOBAL_STATS.builds += 1
+    matrix = _MATRIX_MEMO[key] = embedder.embed_batch(texts)
+    return matrix

@@ -5,17 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.llm.embeddings import HashedEmbedder
-from repro.rag.cache import QUERY_MEMO_MAX, memoized_query_embedding  # noqa: F401
+from repro.rag.cache import memoized_query_embedding
 from repro.rag.documents import ColumnDocument
 
 
 class VectorIndex:
     """Embeds documents once; answers cosine-similarity queries.
 
-    ``matrix`` lets callers inject a precomputed (possibly memory-mapped)
-    embedding matrix — see :mod:`repro.rag.cache` — instead of paying the
-    per-instance ``embed_batch`` over the whole corpus.  Query embeddings
-    are memoized per index, so repeated prompts within one run embed once.
+    ``matrix`` lets callers inject a precomputed embedding matrix — see
+    :mod:`repro.rag.cache` — instead of paying the per-instance
+    ``embed_batch`` over the whole corpus.  Query embeddings are memoized
+    in one LRU shared by every index, so repeated prompts embed once.
     """
 
     def __init__(
@@ -35,6 +35,7 @@ class VectorIndex:
             self._matrix = matrix
         else:
             self._matrix = self.embedder.embed_batch([d.text for d in self.documents])
+
     def __len__(self) -> int:
         return len(self.documents)
 

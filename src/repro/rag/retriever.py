@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.llm.embeddings import HashedEmbedder
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
-from repro.rag.cache import RetrievalArtifactCache
+from repro.rag.cache import corpus_matrix
 from repro.rag.documents import ColumnDocument, build_documents
 from repro.rag.index import VectorIndex
 from repro.rag.mmr import mmr_select
@@ -50,15 +50,10 @@ class ColumnRetriever:
         important: set[str] | None = None,
         embedder: HashedEmbedder | None = None,
         lambda_mult: float = 0.7,
-        cache: RetrievalArtifactCache | None = None,
     ):
         self.documents = build_documents(column_descriptions, structure, important)
         embedder = embedder or HashedEmbedder()
-        matrix = (
-            cache.matrix_for([d.text for d in self.documents], embedder)
-            if cache is not None
-            else None
-        )
+        matrix = corpus_matrix([d.text for d in self.documents], embedder)
         self.index = VectorIndex(self.documents, embedder, matrix=matrix)
         self.lambda_mult = lambda_mult
         self._important_prompt = "[IMPORTANT] " + " ".join(

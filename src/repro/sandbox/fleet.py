@@ -55,6 +55,7 @@ from repro.resilience import CircuitBreaker
 from repro.sandbox.client import InProcessClient, SandboxClient, SandboxUnavailable
 from repro.sandbox.executor import ExecutionResult, SandboxExecutor
 from repro.sandbox.server import LatencyExecutor, SandboxServer
+from repro.util.stats import ServiceTimeEWMA as ServiceEWMA
 from repro.util.timing import SimulatedClock, WallClock
 
 log = get_logger("sandbox.fleet")
@@ -89,27 +90,6 @@ def resolve_sandbox_workers(explicit: int | None = None) -> int | None:
     if explicit == 0:
         return max(1, os.cpu_count() or 1)
     return int(explicit)
-
-
-class ServiceEWMA:
-    """Exponentially weighted service time; 0.0 until the first sample
-    so untried members sort ahead of proven-slow ones."""
-
-    def __init__(self, alpha: float = 0.2):
-        self.alpha = float(alpha)
-        self.value = 0.0
-        self.samples = 0
-
-    def observe(self, seconds: float) -> None:
-        self.samples += 1
-        if self.samples == 1:
-            self.value = float(seconds)
-        else:
-            self.value = self.alpha * float(seconds) + (1.0 - self.alpha) * self.value
-
-    def reset(self) -> None:
-        self.value = 0.0
-        self.samples = 0
 
 
 # ----------------------------------------------------------------------

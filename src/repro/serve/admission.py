@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any
 
+from repro.util.stats import ServiceTimeEWMA
 from repro.util.timing import SimulatedClock, WallClock
 
 
@@ -42,28 +42,6 @@ class QueueClosed(Exception):
     """Server is draining; no new work is admitted."""
 
 
-@dataclass
-class ServiceTimeEWMA:
-    """Thread-safe EWMA of request service times (queue wait + execution)."""
-
-    alpha: float = 0.2
-    initial_s: float = 1.0
-    _value: float | None = None
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def observe(self, seconds: float) -> None:
-        with self._lock:
-            if self._value is None:
-                self._value = seconds
-            else:
-                self._value += self.alpha * (seconds - self._value)
-
-    @property
-    def value_s(self) -> float:
-        with self._lock:
-            return self._value if self._value is not None else self.initial_s
-
-
 class AdmissionQueue:
     """Bounded FIFO feeding the worker pool."""
 
@@ -78,7 +56,7 @@ class AdmissionQueue:
         self.depth = depth
         self.workers = max(1, workers)
         self.clock = clock or WallClock()
-        self.service_time = ServiceTimeEWMA()
+        self.service_time = ServiceTimeEWMA(initial_s=1.0)
         self._items: deque[Any] = deque()
         self._cond = threading.Condition()
         self._closed = False

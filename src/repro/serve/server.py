@@ -269,13 +269,11 @@ class ReproServer:
             "warmup": self.state.report.as_dict() if self.state.report else None,
             "query_cache": {
                 "memory_hits": qstats.memory_hits,
-                "disk_hits": qstats.disk_hits,
                 "misses": qstats.misses,
                 "hit_ratio": round(qstats.hit_ratio, 4),
             },
             "retrieval_cache": {
                 "memory_hits": rstats.memory_hits,
-                "disk_hits": rstats.disk_hits,
                 "builds": rstats.builds,
                 "query_memo_hits": rstats.query_memo_hits,
                 "query_memo_misses": rstats.query_memo_misses,

@@ -6,13 +6,13 @@ A server pays them **once**, at startup, and then shares the warm
 artifacts across every session it serves:
 
 * the **column retriever** and its corpus-embedding matrix
-  (:mod:`repro.rag.cache`): built or mmap-loaded into one
+  (:mod:`repro.rag.cache`): built once into one
   :class:`~repro.rag.ColumnRetriever` instance that every per-request
   app reuses, so no request ever re-embeds the corpus;
-* the **query-result cache** (:mod:`repro.db.cache`): one shared on-disk
-  tier under the server workdir, so a SELECT executed for any session is
-  mmap-served to all others (keys are content-addressed, making the
-  sharing correctness-neutral by construction);
+* the **query-result cache** (:mod:`repro.db.cache`) needs no warm-up:
+  its in-process tier is shared by every session the process serves
+  (keys are content-addressed, making the sharing correctness-neutral
+  by construction);
 * the **ensemble catalogs**: manifest parsed, the newest halo catalog
   read once so first-request scans hit warm file pages;
 * the **sandbox**: the in-process executor toolset built once; with a
@@ -37,7 +37,7 @@ from repro.core.config import InferAConfig
 from repro.llm import HashedEmbedder
 from repro.obs.names import SERVE_WARMUP_SPAN
 from repro.obs.tracer import get_tracer
-from repro.rag import ColumnRetriever, RetrievalArtifactCache
+from repro.rag import ColumnRetriever
 from repro.sandbox import (
     InProcessClient,
     SandboxClient,
@@ -96,8 +96,6 @@ class WarmState:
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.config = config
         self.clock = clock or WallClock()
-        self.retrieval_cache_dir = self.workdir / ".retrieval_cache"
-        self.query_cache_dir = self.workdir / ".query_cache"
         self.retriever: ColumnRetriever | None = None
         self.sandbox = None
         self.report: WarmupReport | None = None
@@ -114,7 +112,6 @@ class WarmState:
         report = WarmupReport()
         with get_tracer().span(SERVE_WARMUP_SPAN):
             self._warm_retriever(report)
-            self._warm_query_cache(report)
             self._warm_catalogs(report)
             self._warm_sandbox(report)
         self.report = report
@@ -142,18 +139,8 @@ class WarmState:
                 manifest.get("structure", FILE_STRUCTURE_DESCRIPTIONS),
                 important=IMPORTANT_COLUMNS,
                 embedder=HashedEmbedder(self.config.embedder_dim),
-                cache=RetrievalArtifactCache(self.retrieval_cache_dir),
             )
         report.details["retriever"] = f"dim={self.config.embedder_dim}"
-
-    def _warm_query_cache(self, report: WarmupReport) -> None:
-        from repro.db.cache import QueryResultCache
-
-        with self._timed(report, "query_cache"):
-            self.query_cache_dir.mkdir(parents=True, exist_ok=True)
-            store = QueryResultCache(self.query_cache_dir)
-            entries = len(store.disk_entries())
-        report.details["query_cache"] = f"{entries} disk entries"
 
     def _warm_catalogs(self, report: WarmupReport) -> None:
         # read the newest halo catalog once so the first session's scans
@@ -222,8 +209,7 @@ class WarmState:
 
         Each request gets isolated state — its own workdir, provenance
         session, analysis database, seeded RNG streams — while the
-        retriever, sandbox, and both on-disk cache tiers are the
-        server-shared instances.
+        retriever and sandbox are the server-shared instances.
 
         ``ensemble`` lets the worker hand the app a *pinned* manifest view
         (:meth:`repro.sim.ensemble.Ensemble.pinned`), so a request racing
@@ -234,14 +220,7 @@ class WarmState:
 
         if not self.warmed:
             self.warm()
-        config = InferAConfig(
-            **{
-                **self.config.__dict__,
-                "seed": seed,
-                "retrieval_cache_dir": str(self.retrieval_cache_dir),
-                "query_cache_dir": str(self.query_cache_dir),
-            }
-        )
+        config = InferAConfig(**{**self.config.__dict__, "seed": seed})
         return InferA(
             ensemble if ensemble is not None else self.ensemble,
             session_workdir,

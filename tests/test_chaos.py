@@ -40,7 +40,6 @@ QUESTION = (
 STORAGE_CHAOS = FaultProfile(
     seed=13,
     storage_torn_write=0.5,
-    storage_bit_flip=0.5,
     checkpoint_corrupt=0.5,
 )
 

@@ -1,6 +1,7 @@
 """CLI commands (invoked in-process via main(argv))."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -98,25 +99,6 @@ class TestSQL:
 
 
 class TestCache:
-    def test_stats_after_query(self, cli_ensemble, tmp_path, capsys):
-        workdir = tmp_path / "w"
-        main([
-            "query", "top 5 halos at timestep 624 in simulation 0",
-            "--ensemble", str(cli_ensemble),
-            "--workdir", str(workdir),
-            "--no-errors",
-        ])
-        capsys.readouterr()
-        assert main(["cache", "stats", "--workdir", str(workdir)]) == 0
-        out = capsys.readouterr().out
-        assert "query result cache" in out
-        assert "retrieval artifact cache" in out
-        assert "hit ratio" in out and "invalidations" in out
-        assert "query memo:" in out
-        # a real query ran, so results were published on disk
-        entries = int(out.split("disk: ")[1].split(" entries")[0])
-        assert entries > 0
-
     def test_eval_reports_query_cache_perf(self, cli_ensemble, tmp_path, capsys):
         code = main([
             "eval", "--ensemble", str(cli_ensemble),
@@ -126,45 +108,6 @@ class TestCache:
         assert code == 0
         err = capsys.readouterr().err
         assert "query cache:" in err and "hit ratio" in err
-
-    def test_clear_removes_disk_entries(self, cli_ensemble, tmp_path, capsys):
-        # cold memory caches so the query publishes fresh disk artifacts
-        from repro.rag.cache import clear_memory_cache
-
-        clear_memory_cache()
-        workdir = tmp_path / "w"
-        main([
-            "query", "top 5 halos at timestep 624 in simulation 0",
-            "--ensemble", str(cli_ensemble),
-            "--workdir", str(workdir),
-            "--no-errors",
-        ])
-        assert any((workdir / ".query_cache").glob("q_*"))
-        assert any((workdir / ".retrieval_cache").glob("retrieval_*"))
-        capsys.readouterr()
-        assert main(["cache", "clear", "--workdir", str(workdir)]) == 0
-        out = capsys.readouterr().out
-        assert "dropped" in out
-        assert not any((workdir / ".query_cache").glob("q_*"))
-        assert not any((workdir / ".retrieval_cache").glob("retrieval_*"))
-        # stats on an empty workdir still works
-        assert main(["cache", "stats", "--workdir", str(workdir)]) == 0
-
-    def test_stats_on_missing_workdir(self, tmp_path, capsys):
-        """A workdir with no cache directories gets a clear empty-stats
-        message instead of a wall of zeros (and never an error)."""
-        assert main(["cache", "stats", "--workdir", str(tmp_path / "none")]) == 0
-        out = capsys.readouterr().out
-        assert "no caches under" in out
-        assert ".query_cache" in out and ".retrieval_cache" in out
-
-    def test_stats_reports_quarantined_entries(self, tmp_path, capsys):
-        workdir = tmp_path / "w"
-        qdir = workdir / ".query_cache" / ".quarantine" / "q_deadbeef"
-        qdir.mkdir(parents=True)
-        assert main(["cache", "stats", "--workdir", str(workdir)]) == 0
-        out = capsys.readouterr().out
-        assert "quarantined: 1 corrupt entries moved aside" in out
 
 
 class TestChat:
@@ -239,6 +182,20 @@ class TestTrace:
         assert doc["traceEvents"]
         assert str(out_path) in capsys.readouterr().out
 
+    def test_summary_of_query_workdir_reads_newest_session(
+        self, traced_session, capsys
+    ):
+        """A one-shot query keeps its trace in its session directory, one
+        level below the workdir; the summary finds it and says which."""
+        workdir = traced_session.parent
+        capsys.readouterr()
+        assert main(["trace", "summary", str(workdir)]) == 0
+        out = capsys.readouterr().out
+        assert "no trace yet" not in out
+        (trace,) = traced_session.glob("*trace.jsonl")
+        assert f"reading {trace}" in out
+        assert "llm tokens:" in out
+
     def test_missing_trace_is_friendly(self, tmp_path, capsys):
         # a fresh workdir has no trace yet: report that, exit 0
         for action in ("summary", "tree"):
@@ -252,6 +209,48 @@ class TestTrace:
         capsys.readouterr()
         assert main(["trace", "summary", str(empty)]) == 0
         assert "empty" in capsys.readouterr().out
+
+
+class TestOneShotSessions:
+    # q06 and q17 of the suite: their session-name slugs are identical
+    COLLIDING = (
+        "First find the two largest halos by their halo count in timestep 624 "
+        "of simulation 0. Then find the top 10 galaxies associated to those two "
+        "halos (related by fof_halo_tag).",
+        "First find the two largest halos by their halo count in timestep 498 "
+        "of simulation 1. Then find the top 10 galaxies associated to those two "
+        "halos (related by fof_halo_tag).",
+    )
+
+    @staticmethod
+    def _answer(ensemble, workdir, question, capsys):
+        """(answer lines, tokens, figure bytes) of one ``repro query``."""
+        capsys.readouterr()
+        main(["query", question, "--ensemble", str(ensemble.root),
+              "--workdir", str(workdir)])
+        lines = capsys.readouterr().out.splitlines()
+        tokens = next(line for line in lines if line.startswith("tokens: "))
+        figures = [Path(line[len("figure: "):]).read_bytes()
+                   for line in lines if line.startswith("figure: ")]
+        answer = [line for line in lines
+                  if not line.startswith(("tokens: ", "figure: ", "provenance: "))]
+        return answer, tokens.split()[1], figures
+
+    def test_colliding_questions_keep_separate_sessions(
+        self, ensemble, tmp_path, capsys
+    ):
+        shared = tmp_path / "shared"
+        in_shared = [self._answer(ensemble, shared, q, capsys) for q in self.COLLIDING]
+        fresh = [self._answer(ensemble, tmp_path / f"fresh{i}", q, capsys)
+                 for i, q in enumerate(self.COLLIDING)]
+        sessions = sorted(p.name for p in shared.iterdir() if p.is_dir())
+        assert sessions == [
+            "query_001_first_find_the_two_large",
+            "query_001_first_find_the_two_large_2",
+        ]
+        for session in sessions:
+            assert list((shared / session).glob("*trace.jsonl"))
+        assert in_shared == fresh
 
 
 class TestCostCommand:
@@ -344,19 +343,8 @@ class TestVerbosity:
 
 class TestArtifactCompat:
     """Stats commands must tolerate artifacts written by older repro
-    versions: missing schema/CRC fields degrade to defaults with an
-    explicit provenance note, never a KeyError."""
-
-    def test_cache_stats_notes_pre_crc_entries(self, tmp_path, capsys):
-        entry = tmp_path / "w" / ".query_cache" / "q_cafe0000"
-        entry.mkdir(parents=True)
-        (entry / "result.json").write_text(json.dumps(
-            {"key": "q_cafe0000", "columns": [], "dtypes": {}, "num_rows": 0}
-        ))
-        assert main(["cache", "stats", "--workdir", str(tmp_path / "w")]) == 0
-        out = capsys.readouterr().out
-        assert "1 entries written by an older repro version" in out
-        assert "no CRC sidecar" in out
+    versions: missing schema fields degrade to defaults with an explicit
+    provenance note, never a KeyError."""
 
     def test_sandbox_stats_notes_pre_schema_snapshot(self, tmp_path, capsys):
         (tmp_path / "sandbox_fleet.json").write_text(json.dumps(

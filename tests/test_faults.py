@@ -50,9 +50,12 @@ class TestFaultProfile:
         assert profile.as_dict() == FaultProfile.named("light", seed=3).as_dict()
 
     def test_from_env_json_map(self):
-        env = {"REPRO_FAULT_PROFILE": json.dumps({"storage_bit_flip": 0.25})}
+        # names that are not fault-profile fields (here a removed fault
+        # point) are ignored rather than failing the run
+        env = {"REPRO_FAULT_PROFILE": json.dumps(
+            {"checkpoint_corrupt": 0.25, "storage_bit_flip": 0.5})}
         profile = FaultProfile.from_env(env)
-        assert profile.rate(faults.STORAGE_BIT_FLIP) == 0.25
+        assert profile.rate(faults.CHECKPOINT_CORRUPT) == 0.25
         assert profile.rate(faults.SANDBOX_DROP) == 0.0
 
     def test_from_env_garbage_degrades_to_off(self):
@@ -78,7 +81,7 @@ class TestFaultInjector:
 
     def test_same_profile_same_schedule(self):
         profile = FaultProfile.named("light", seed=11)
-        a = [FaultInjector(profile).fire(faults.STORAGE_BIT_FLIP) for _ in range(1)]
+        a = [FaultInjector(profile).fire(faults.CHECKPOINT_CORRUPT) for _ in range(1)]
         run = lambda: [
             inj.fire(point)
             for inj in [FaultInjector(profile)]
@@ -130,7 +133,7 @@ class TestCorruptionHelpers:
     def test_flip_bit_changes_exactly_one_bit(self):
         injector = FaultInjector(FaultProfile(seed=9))
         data = bytes(range(64))
-        flipped = injector.flip_bit(faults.STORAGE_BIT_FLIP, data)
+        flipped = injector.flip_bit(faults.CHECKPOINT_CORRUPT, data)
         assert len(flipped) == len(data)
         diff = [i for i, (x, y) in enumerate(zip(data, flipped)) if x != y]
         assert len(diff) == 1
@@ -138,8 +141,8 @@ class TestCorruptionHelpers:
 
     def test_flip_bit_deterministic(self):
         data = b"hello checkpoint blob"
-        one = FaultInjector(FaultProfile(seed=4)).flip_bit(faults.STORAGE_BIT_FLIP, data)
-        two = FaultInjector(FaultProfile(seed=4)).flip_bit(faults.STORAGE_BIT_FLIP, data)
+        one = FaultInjector(FaultProfile(seed=4)).flip_bit(faults.CHECKPOINT_CORRUPT, data)
+        two = FaultInjector(FaultProfile(seed=4)).flip_bit(faults.CHECKPOINT_CORRUPT, data)
         assert one == two != data
 
     def test_truncate_strictly_shorter(self):
@@ -151,7 +154,7 @@ class TestCorruptionHelpers:
 
     def test_empty_payloads_pass_through(self):
         injector = FaultInjector(FaultProfile(seed=2))
-        assert injector.flip_bit(faults.STORAGE_BIT_FLIP, b"") == b""
+        assert injector.flip_bit(faults.CHECKPOINT_CORRUPT, b"") == b""
         assert injector.truncate(faults.STORAGE_TORN_WRITE, b"") == b""
 
 

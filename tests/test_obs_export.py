@@ -1,6 +1,7 @@
 """Trace exporters: JSONL, Chrome trace format (golden), rollups, trees."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,19 @@ class TestJsonl:
         write_jsonl(build_reference_trace()[:1], tmp_path / "003_trace.jsonl")
         write_jsonl(build_reference_trace(), tmp_path / "019_trace.jsonl")
         assert find_trace_file(tmp_path).name == "019_trace.jsonl"
+
+    def test_find_trace_file_falls_back_to_newest_session(self, tmp_path):
+        # a query workdir: no top-level trace, one per session directory
+        older = tmp_path / "query_001_a" / "019_trace.jsonl"
+        newer = tmp_path / "query_001_b" / "019_trace.jsonl"
+        for path in (newer, older):
+            path.parent.mkdir()
+            write_jsonl(build_reference_trace(), path)
+        os.utime(older, ns=(1_000_000_000, 1_000_000_000))
+        assert find_trace_file(tmp_path) == newer
+        # a top-level trace still wins
+        write_jsonl(build_reference_trace(), tmp_path / "trace.jsonl")
+        assert find_trace_file(tmp_path) == tmp_path / "trace.jsonl"
 
     def test_missing_trace_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -6,11 +6,11 @@ import pytest
 from repro.llm import HashedEmbedder
 from repro.rag import (
     ColumnRetriever,
-    RetrievalArtifactCache,
     VectorIndex,
     build_documents,
     chunk_text,
     corpus_key,
+    corpus_matrix,
     mmr_select,
 )
 from repro.rag.cache import clear_memory_cache, stats_snapshot
@@ -114,61 +114,16 @@ class TestVectorIndex:
 
 
 class TestRetrievalArtifactCache:
-    def _fresh(self, tmp_path):
+    def test_memory_hit_returns_same_object(self):
         clear_memory_cache()
-        return RetrievalArtifactCache(tmp_path / "cache")
-
-    def test_cold_build_persists_npy_and_sidecar(self, tmp_path):
-        cache = self._fresh(tmp_path)
-        embedder = HashedEmbedder(64)
-        texts = ["halo mass", "galaxy stellar mass", "velocity dispersion"]
-        before = stats_snapshot()
-        matrix = cache.matrix_for(texts, embedder)
-        delta = stats_snapshot().delta(before)
-        assert delta.builds == 1 and delta.matrix_hits == 0
-        key = corpus_key(texts, embedder.cache_key())
-        assert cache.matrix_path(key).exists()
-        assert cache.sidecar_path(key).exists()
-        assert matrix.shape == (3, 64)
-
-    def test_memory_hit_returns_same_object(self, tmp_path):
-        cache = self._fresh(tmp_path)
         embedder = HashedEmbedder(64)
         texts = ["a b c", "d e f"]
-        first = cache.matrix_for(texts, embedder)
+        first = corpus_matrix(texts, embedder)
         before = stats_snapshot()
-        second = cache.matrix_for(texts, embedder)
+        second = corpus_matrix(texts, embedder)
         delta = stats_snapshot().delta(before)
         assert second is first
         assert delta.memory_hits == 1 and delta.builds == 0
-
-    def test_disk_hit_materialized_and_identical(self, tmp_path):
-        """Small matrices are copied into memory on disk load (MMR's
-        per-row dot products are ~4x slower over a memmap subclass)."""
-        embedder = HashedEmbedder(64)
-        texts = ["halo mass", "galaxy stellar mass"]
-        cache = self._fresh(tmp_path)
-        built = np.asarray(cache.matrix_for(texts, embedder))
-        clear_memory_cache()  # simulate a fresh worker process
-        before = stats_snapshot()
-        loaded = cache.matrix_for(texts, embedder)
-        delta = stats_snapshot().delta(before)
-        assert delta.disk_hits == 1 and delta.builds == 0
-        assert isinstance(loaded, np.ndarray) and not isinstance(loaded, np.memmap)
-        np.testing.assert_array_equal(np.asarray(loaded), built)
-
-    def test_disk_hit_above_threshold_stays_mmapped(self, tmp_path, monkeypatch):
-        from repro.rag import cache as rag_cache_module
-
-        monkeypatch.setattr(rag_cache_module, "MATERIALIZE_MAX_BYTES", 0)
-        embedder = HashedEmbedder(64)
-        texts = ["halo mass", "galaxy stellar mass"]
-        cache = self._fresh(tmp_path)
-        built = np.asarray(cache.matrix_for(texts, embedder))
-        clear_memory_cache()
-        loaded = cache.matrix_for(texts, embedder)
-        assert isinstance(loaded, np.memmap)
-        np.testing.assert_array_equal(np.asarray(loaded), built)
 
     def test_key_depends_on_corpus_and_embedder(self):
         k = corpus_key(["a", "b"], "hashed-ngram-v1:dim=64")
@@ -178,25 +133,10 @@ class TestRetrievalArtifactCache:
         # concatenation boundaries matter
         assert corpus_key(["ab", "c"], "e") != corpus_key(["a", "bc"], "e")
 
-    def test_stale_artifact_rebuilt_on_shape_mismatch(self, tmp_path):
-        cache = self._fresh(tmp_path)
-        embedder = HashedEmbedder(64)
-        texts = ["one", "two"]
-        cache.matrix_for(texts, embedder)
-        key = corpus_key(texts, embedder.cache_key())
-        np.save(cache.matrix_path(key), np.zeros((5, 5)))  # corrupt
-        clear_memory_cache()
-        before = stats_snapshot()
-        matrix = cache.matrix_for(texts, embedder)
-        delta = stats_snapshot().delta(before)
-        assert delta.builds == 1
-        assert matrix.shape == (2, 64)
-
-    def test_cold_vs_warm_retriever_results_identical(self, tmp_path):
+    def test_cold_vs_warm_retriever_results_identical(self):
         """The parity the harness relies on: a retriever built from the
-        warm (mmapped) cache retrieves exactly what a cold one does."""
+        memoized matrix retrieves exactly what a cold one does."""
         clear_memory_cache()
-        cache = RetrievalArtifactCache(tmp_path / "cache")
 
         def build():
             return ColumnRetriever(
@@ -204,26 +144,21 @@ class TestRetrievalArtifactCache:
                 FILE_STRUCTURE_DESCRIPTIONS,
                 important=IMPORTANT_COLUMNS,
                 embedder=HashedEmbedder(128),
-                cache=cache,
             )
 
+        before = stats_snapshot()
         cold = build()
-        clear_memory_cache()  # force the disk tier for the second build
+        assert stats_snapshot().delta(before).builds == 1
         before = stats_snapshot()
         warm = build()
         delta = stats_snapshot().delta(before)
-        assert delta.disk_hits == 1 and delta.builds == 0
+        assert delta.memory_hits == 1 and delta.builds == 0
 
         for query in ("top 20 largest halos", "galaxy stellar mass evolution"):
             a = cold.retrieve(query, task="load", plan="1. load")
             b = warm.retrieve(query, task="load", plan="1. load")
             assert [d.doc_id for d in a.documents] == [d.doc_id for d in b.documents]
             assert a.per_prompt == b.per_prompt
-
-    def test_uncached_retriever_unchanged(self):
-        """No cache argument -> the legacy embed-every-time path."""
-        r = ColumnRetriever(COLUMN_DESCRIPTIONS)
-        assert r.index.embedding_matrix().shape[0] == len(r.documents)
 
 
 class TestQueryMemo:

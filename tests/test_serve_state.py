@@ -20,7 +20,6 @@ def test_warmup_report_times_every_component(ensemble, tmp_path):
     assert state.warmed
     assert set(report.component_s) == {
         "retriever",
-        "query_cache",
         "catalogs",
         "sandbox",
     }
@@ -50,9 +49,6 @@ def test_apps_share_warm_components_but_isolate_workdirs(ensemble, tmp_path):
     assert app_a._retriever is state.retriever
     assert app_b._retriever is state.retriever
     assert app_a._shared_sandbox is state.sandbox
-    # shared on-disk cache tiers under the server workdir
-    assert app_a.config.query_cache_dir == str(state.query_cache_dir)
-    assert app_a.config.retrieval_cache_dir == str(state.retrieval_cache_dir)
     # isolated writable state
     assert app_a.workdir != app_b.workdir
 
